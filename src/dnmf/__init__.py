@@ -5,7 +5,7 @@ autoregression: multinomial observations over a column-stochastic basis,
 exponential innovations around the predicted coefficients, EM training, and
 causal per-frame filtering with annealed predictions.
 """
-from .core import EPS, is_divergence, matmul, nonneg_matrix, normalize_columns, stochastic_matrix
+from .core import EPS, is_divergence, nonneg_matrix, normalize_columns, stochastic_matrix
 from .dsp import (
     Spectrogram,
     input_snr,
@@ -19,8 +19,6 @@ from .plca import (
     fit_static_plca,
     is_nmf_update_h,
     is_nmf_update_w,
-    plca_posterior,
-    plca_update_w,
     reconstruct,
 )
 from .statespace import (
@@ -48,12 +46,9 @@ __all__ = [
     "nonneg_matrix",
     "stochastic_matrix",
     "normalize_columns",
-    "matmul",
     "is_divergence",
     "is_nmf_update_h",
     "is_nmf_update_w",
-    "plca_posterior",
-    "plca_update_w",
     "fit_static_plca",
     "reconstruct",
     "ConvergenceError",

@@ -28,7 +28,7 @@ from .statespace import (
     DnmfModel,
     FilterState,
     TrainConfig,
-    build_lag_matrix,
+    _predict_all,
     filter_frame,
     map_objective,
     train,
@@ -60,32 +60,40 @@ def save_model(
 
 
 def load_model(path: str) -> tuple[DnmfModel, float, dict]:
-    """Load a model saved by :func:`save_model`, validating its invariants."""
+    """Load a model saved by :func:`save_model`, validating its invariants.
+
+    :class:`DnmfModel` checks shapes, signs, finiteness and the column sums
+    of the basis; drift in those sums between 1e-9 and its 1e-6 tolerance is
+    renormalized away with a warning.  Any malformed document raises
+    ``ValueError`` naming the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: model document must be a JSON object")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(
             f"{path}: unsupported format_version {doc.get('format_version')!r}"
         )
-    basis = np.asarray(doc["W"], dtype=np.float64)
-    if basis.ndim != 2 or basis.shape != (doc["K"], doc["I"]):
-        raise ValueError(f"{path}: basis shape does not match K/I fields")
-    err = np.max(np.abs(basis.sum(axis=0) - 1.0)) if basis.size else 1.0
-    if err > 1e-6:
-        raise ValueError(
-            f"{path}: basis columns deviate from unit sum by {err:.3e}"
-        )
+    try:
+        model = DnmfModel(basis=doc["W"], lags=list(doc["A"]))
+        sizes = (doc["K"], doc["I"], doc["J"])
+        train_q = float(doc["train_q"])
+        metadata = dict(doc.get("metadata", {}))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if (model.n_features, model.n_components, model.order) != sizes:
+        raise ValueError(f"{path}: model sizes do not match the K/I/J fields")
+    err = np.max(np.abs(model.basis.sum(axis=0) - 1.0))
     if err > 1e-9:
         warnings.warn(
             f"{path}: renormalizing basis columns (deviation {err:.3e})",
             stacklevel=2,
         )
-        basis = basis / basis.sum(axis=0)
-    lags = [np.asarray(a, dtype=np.float64) for a in doc["A"]]
-    if len(lags) != doc["J"]:
-        raise ValueError(f"{path}: expected {doc['J']} lag matrices")
-    model = DnmfModel(basis=basis, lags=lags)
-    return model, float(doc["train_q"]), dict(doc.get("metadata", {}))
+        model.basis = model.basis / model.basis.sum(axis=0)
+    return model, train_q, metadata
 
 
 def _load_training_matrix(path: str, fft_size: int, hop: int) -> np.ndarray:
@@ -108,9 +116,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(f"components: {args.rank}  order: {args.order}  frames: {mag.shape[1]}")
     print(f"objective: {objective:.10g}")
     if model.order >= 1:
-        v = build_lag_matrix(h, model.order)
-        fit = np.maximum(np.hstack(model.lags) @ v, EPS)
-        div = is_divergence(np.maximum(h, EPS), fit)
+        div = is_divergence(np.maximum(h, EPS), _predict_all(model.lags, h))
         print(f"lag_fit_is_divergence: {div:.10g}")
     save_model(
         model,
@@ -133,15 +139,6 @@ def _separate_pipeline(
     samples, rate = read_wav(mixture_path)
     model_a, _, _ = load_model(model_a_path)
     model_b, _, _ = load_model(model_b_path)
-    if model_a.n_features != model_b.n_features:
-        raise ValueError(
-            "models disagree on spectrum size: "
-            f"{model_a.n_features} vs {model_b.n_features}"
-        )
-    if model_a.order != model_b.order:
-        raise ValueError(
-            f"models disagree on order: {model_a.order} vs {model_b.order}"
-        )
     fft_size = 2 * (model_a.n_features - 1)
     if fft_size < 2 or fft_size & (fft_size - 1):
         raise ValueError(

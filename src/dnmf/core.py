@@ -20,7 +20,6 @@ __all__ = [
     "nonneg_matrix",
     "stochastic_matrix",
     "normalize_columns",
-    "matmul",
     "is_divergence",
 ]
 
@@ -81,20 +80,6 @@ def normalize_columns(m: Array) -> Array:
             "floor the matrix before normalizing"
         )
     return m / sums
-
-
-def matmul(a: Array, b: Array) -> Array:
-    """Matrix product with explicit dimension checking."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("matmul expects 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: ({a.shape[0]}x{a.shape[1]}) @ "
-            f"({b.shape[0]}x{b.shape[1]})"
-        )
-    return a @ b
 
 
 def is_divergence(x: Array, xhat: Array) -> float:

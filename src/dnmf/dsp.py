@@ -132,13 +132,11 @@ def istft(spec: Spectrogram) -> Array:
     return out
 
 
-def wiener_reconstruct(
-    mix_mag: Array, est1: Array, est2: Array, eps: float = EPS
-) -> tuple[Array, Array]:
+def wiener_reconstruct(mix_mag: Array, est1: Array, est2: Array) -> tuple[Array, Array]:
     """Split a mixture magnitude between two source estimates by soft masking.
 
     The first output is ``mix_mag * est1 / (est1 + est2)`` (denominator
-    floored at ``eps``); the second is the remainder ``mix_mag - first``, so
+    floored at ``EPS``); the second is the remainder ``mix_mag - first``, so
     the two sum back to the mixture to within one float64 rounding step.
 
     Parameters
@@ -158,7 +156,7 @@ def wiener_reconstruct(
         raise ValueError("all inputs must share one shape")
     if np.any(est1 < 0.0) or np.any(est2 < 0.0) or np.any(mix_mag < 0.0):
         raise ValueError("magnitudes must be nonnegative")
-    mask = est1 / np.maximum(est1 + est2, eps)
+    mask = est1 / np.maximum(est1 + est2, EPS)
     part1 = mask * mix_mag
     return part1, mix_mag - part1
 

@@ -31,6 +31,12 @@ __all__ = [
 
 CSV_HEADER = "scenario,method,J,input_snr_db,metric,value,seed"
 
+# EM refinements per frame in both scenarios, for dynamic filtering and for
+# the static baseline, and the annealing exponent of the tracking filters.
+_DNMF_INNER = 1
+_STATIC_INNER = 50
+_TRACK_ANNEAL = 0.25
+
 
 @dataclass
 class TrackingScenario:
@@ -175,22 +181,19 @@ def _run_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
 
 
-def run_tracking(
-    scenario: TrackingScenario,
-    anneal: float = 0.25,
-    seed: int = 0,
-    dnmf_inner: int = 1,
-    static_inner: int = 50,
-) -> ExperimentReport:
+def run_tracking(scenario: TrackingScenario, seed: int = 0) -> ExperimentReport:
     """Monte Carlo frequency tracking: static argmax versus dynamic filtering.
 
     For every SNR level and run, white Gaussian noise from a derived seed is
     mixed onto the swept sinusoid; both methods then see the same magnitude
     frames.  The static baseline estimates each frame independently with the
-    identity basis (``static_inner`` EM refinements, uniform prior); the
-    dynamic method filters with :func:`tracking_model` and ``dnmf_inner``
-    refinements per frame.  One MSE row is recorded per run, method, and SNR.
+    identity basis (50 EM refinements, uniform prior); the dynamic method
+    filters with :func:`tracking_model`, one refinement per frame and
+    predictions annealed by 0.25.  One MSE row is recorded per run, method,
+    and SNR.
     """
+    if scenario.runs < 1:
+        raise ValueError("runs must be at least 1")
     signal, truths = gen_swept_sinusoid(scenario)
     n_bins = scenario.fft_size // 2 + 1
     static = DnmfModel(basis=np.eye(n_bins), lags=[])
@@ -205,10 +208,10 @@ def run_tracking(
                 noisy, scenario.fft_size, scenario.hop, scenario.sample_rate
             ).magnitude
             for method, model, inner in (
-                ("static", static, static_inner),
-                ("dnmf", dynamic, dnmf_inner),
+                ("static", static, _STATIC_INNER),
+                ("dnmf", dynamic, _DNMF_INNER),
             ):
-                state = FilterState(model, anneal=anneal, inner_iters=inner)
+                state = FilterState(model, anneal=_TRACK_ANNEAL, inner_iters=inner)
                 est = np.empty(mag.shape[1])
                 for t in range(mag.shape[1]):
                     h = filter_frame(state, mag[:, t])
@@ -263,20 +266,15 @@ def separate_sources(
     return est1, est2
 
 
-def run_separation(
-    scenario: SeparationScenario,
-    seed: int = 0,
-    dnmf_inner: int = 1,
-    static_inner: int = 50,
-) -> ExperimentReport:
+def run_separation(scenario: SeparationScenario, seed: int = 0) -> ExperimentReport:
     """Train per-source models for each order and separate the 0 dB mixture.
 
     Order 0 is the static baseline: no dynamics, so filtering reduces to
-    ``static_inner`` uniform-prior EM refinements per frame.  Higher orders
-    filter causally with the learned lag matrices and ``dnmf_inner``
-    refinements.  Each source's training seed depends only on the source (not
-    the order), so all orders factor the same dictionaries and differ purely
-    in their dynamics.  Reconstruction uses the mixture phase, and each
+    50 uniform-prior EM refinements per frame.  Higher orders filter causally
+    with the learned lag matrices and one refinement per frame.  Each
+    source's training seed depends only on the source (not the order), so
+    all orders factor the same dictionaries and differ purely in their
+    dynamics.  Reconstruction uses the mixture phase, and each
     source's time-domain output SNR goes into the report.
     """
     s1, s2 = gen_chirp_pair(scenario)
@@ -301,7 +299,7 @@ def run_separation(
             models[0],
             models[1],
             scenario.anneal,
-            dnmf_inner if order >= 1 else static_inner,
+            _DNMF_INNER if order >= 1 else _STATIC_INNER,
         )
         for tag, est, ref in (("source1", est1, s1), ("source2", est2, s2ref)):
             y = istft(Spectrogram(est * phase, nfft, hop, sr))

@@ -12,109 +12,41 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import EPS, Array, normalize_columns
+from .core import EPS, Array
 
 __all__ = [
     "is_nmf_update_h",
     "is_nmf_update_w",
-    "plca_posterior",
-    "plca_update_w",
     "fit_static_plca",
     "reconstruct",
 ]
 
 
-def is_nmf_update_h(x: Array, w: Array, h: Array, eps: float = EPS) -> Array:
+def is_nmf_update_h(x: Array, w: Array, h: Array) -> Array:
     """One multiplicative update of the coefficients for IS-divergence NMF.
 
     h <- h * (W.T @ ((WH)^-2 * X)) / (W.T @ (WH)^-1)
 
-    The product ``WH`` is floored at ``eps`` before the reciprocal powers.
+    The product ``WH`` is floored at ``EPS`` before the reciprocal powers.
     The update never increases ``is_divergence(x, w @ h)``.
     """
-    wh = np.maximum(w @ h, eps)
+    wh = np.maximum(w @ h, EPS)
     numer = w.T @ (x / (wh * wh))
-    denom = np.maximum(w.T @ (1.0 / wh), eps)
+    denom = np.maximum(w.T @ (1.0 / wh), EPS)
     return h * (numer / denom)
 
 
-def is_nmf_update_w(x: Array, w: Array, h: Array, eps: float = EPS) -> Array:
+def is_nmf_update_w(x: Array, w: Array, h: Array) -> Array:
     """One multiplicative update of the basis for IS-divergence NMF.
 
     w <- w * (((WH)^-2 * X) @ H.T) / ((WH)^-1 @ H.T)
 
     No normalization is applied; columns keep their natural scale.
     """
-    wh = np.maximum(w @ h, eps)
+    wh = np.maximum(w @ h, EPS)
     numer = (x / (wh * wh)) @ h.T
-    denom = np.maximum((1.0 / wh) @ h.T, eps)
+    denom = np.maximum((1.0 / wh) @ h.T, EPS)
     return w * (numer / denom)
-
-
-def plca_posterior(w: Array, h: Array) -> Array:
-    """Per-bin posterior over latent components.
-
-    Row ``k`` of the result is ``w[k, :] * h / sum_i(w[k, i] * h[i])``, i.e.
-    the probability that an observation in bin ``k`` was generated by each
-    component given mixing weights ``h``.
-
-    Parameters
-    ----------
-    w : np.ndarray
-        Column-stochastic basis, shape (K, I).
-    h : np.ndarray
-        Nonnegative mixing weights, length I (any positive scale; the
-        row normalization cancels it).
-
-    Returns
-    -------
-    np.ndarray
-        Responsibilities, shape (K, I); every row sums to one.
-    """
-    numer = w * h[np.newaxis, :]
-    denom = numer.sum(axis=1)
-    if np.any(denom <= 0.0):
-        bad = int(np.argmin(denom))
-        raise ValueError(
-            f"posterior undefined: bin {bad} has zero mass under the model; "
-            "floor w and h before calling"
-        )
-    return numer / denom[:, np.newaxis]
-
-
-def plca_update_w(x: Array, resp: Array) -> Array:
-    """Maximum-likelihood basis update from per-frame responsibilities.
-
-    w[k, i] proportional to sum_t x[k, t] * resp[t, k, i], normalized per
-    column.
-
-    Parameters
-    ----------
-    x : np.ndarray
-        Nonnegative data, shape (K, T).
-    resp : np.ndarray
-        Responsibilities for every frame, shape (T, K, I).
-
-    Returns
-    -------
-    np.ndarray
-        Column-stochastic basis, shape (K, I).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    resp = np.asarray(resp, dtype=np.float64)
-    if resp.ndim != 3 or resp.shape[0] != x.shape[1] or resp.shape[1] != x.shape[0]:
-        raise ValueError(
-            f"responsibilities shape {resp.shape} does not match data {x.shape}"
-        )
-    numer = np.einsum("kt,tki->ki", x, resp)
-    mass = numer.sum(axis=0)
-    if np.any(mass <= 0.0):
-        bad = int(np.argmin(mass))
-        raise ValueError(
-            f"basis column {bad} received zero total mass; "
-            "re-initialize with a different seed or a smaller rank"
-        )
-    return numer / mass
 
 
 def fit_static_plca(

@@ -110,7 +110,6 @@ class TrainConfig:
     prior_start: int = 50
     anneal: float = 0.15
     seed: int = 0
-    eps: float = EPS
 
     def __post_init__(self) -> None:
         if self.iters < 1:
@@ -119,8 +118,6 @@ class TrainConfig:
             raise ValueError("prior_start must lie in [0, iters]")
         if not 0.0 < self.anneal <= 1.0:
             raise ValueError("anneal must lie in (0, 1]")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
 
 
 class FilterState:
@@ -172,18 +169,31 @@ def predict_state(model: DnmfModel, history) -> Array:
     """
     if model.order < 1:
         raise ValueError("predict_state requires a model with order >= 1")
-    ones = np.ones(model.n_components)
-    eta = np.zeros(model.n_components)
+    return _predict(model.lags, history)
+
+
+def _predict(lags: list[Array], history) -> Array:
+    """``sum_j lags[j-1] @ history[-j]``, all-ones where ``history`` is short."""
+    ones = np.ones(lags[0].shape[0])
+    eta = np.zeros(lags[0].shape[0])
     n = len(history)
-    for j, a in enumerate(model.lags, start=1):
+    for j, a in enumerate(lags, start=1):
         past = np.asarray(history[n - j], dtype=np.float64) if j <= n else ones
         eta += a @ past
     return eta
 
 
-def solve_beta(
-    c: Array, eta: Array, tol: float = 1e-12, max_iter: int = 200
-) -> float:
+def _predict_all(lags: list[Array], h: Array) -> Array:
+    """Unannealed prediction for every column of ``h`` at once, floored at EPS."""
+    return np.maximum(np.hstack(lags) @ build_lag_matrix(h, len(lags)), EPS)
+
+
+# Convergence threshold on |g(beta) - 1| and step budget of solve_beta.
+_BETA_TOL = 1e-12
+_BETA_MAX_ITER = 200
+
+
+def solve_beta(c: Array, eta: Array) -> float:
     """Find the multiplier normalizing the coefficient update to the simplex.
 
     Solves ``g(beta) = sum_i c[i] / (beta + 1/eta[i]) = 1`` for the unique
@@ -199,10 +209,6 @@ def solve_beta(
         Nonnegative weighted counts with positive total.
     eta : np.ndarray
         Strictly positive prior means, same length.
-    tol : float
-        Convergence threshold on ``|g(beta) - 1|``.
-    max_iter : int
-        Maximum Newton/bisection steps before raising.
 
     Returns
     -------
@@ -247,9 +253,9 @@ def solve_beta(
 
     resolution = 8.0 * np.finfo(np.float64).eps
     beta = min(max(total - 1.0, lo), hi)
-    for _ in range(max_iter):
+    for _ in range(_BETA_MAX_ITER):
         val = g(beta)
-        if abs(val - 1.0) <= tol:
+        if abs(val - 1.0) <= _BETA_TOL:
             return float(beta)
         if val > 1.0:
             lo = max(lo, beta)
@@ -257,8 +263,9 @@ def solve_beta(
             hi = min(hi, beta)
         if hi - lo <= resolution * max(1.0, abs(lo), abs(hi)):
             # When the root sits almost on the pole, g moves by more than
-            # tol across one float64 ulp of beta, so the residual test can
-            # never pass; the bracket itself is then the sharper certificate.
+            # the tolerance across one float64 ulp of beta, so the residual
+            # test can never pass; the bracket itself is then the sharper
+            # certificate.
             return float(0.5 * (lo + hi))
         deriv = float(-(cs / (beta + inv) ** 2).sum())
         cand = beta - (val - 1.0) / deriv
@@ -266,11 +273,19 @@ def solve_beta(
             cand = 0.5 * (lo + hi)
         beta = cand
     raise ConvergenceError(
-        f"normalizer did not reach |g(beta)-1| <= {tol:g} in {max_iter} steps"
+        f"normalizer did not reach |g(beta)-1| <= {_BETA_TOL:g} "
+        f"in {_BETA_MAX_ITER} steps"
     )
 
 
-def _em_step(xf: Array, w: Array, eta: Array, h: Array, eps: float = EPS) -> Array:
+def _simplex_update(c: Array, eta: Array) -> Array:
+    """Maximize ``sum_i c[i]*log(h[i]) - h[i]/eta[i]`` over the simplex."""
+    beta = solve_beta(c, eta)
+    out = c / (beta + 1.0 / eta)
+    return out / out.sum()
+
+
+def _em_step(xf: Array, w: Array, eta: Array, h: Array) -> Array:
     """One constrained EM refinement of a single frame's coefficients.
 
     ``xf`` is the raw (floored) frame; responsibilities come from the current
@@ -280,12 +295,9 @@ def _em_step(xf: Array, w: Array, eta: Array, h: Array, eps: float = EPS) -> Arr
     scale, so the normalizing multiplier grows with the frame energy and the
     ``1/eta`` prior term acts as a proportionally gentle correction.
     """
-    hs = np.maximum(h, eps)
-    wh = np.maximum(w @ hs, eps)
-    c = hs * (w.T @ (xf / wh))
-    beta = solve_beta(c, eta)
-    out = c / (beta + 1.0 / eta)
-    return out / out.sum()
+    hs = np.maximum(h, EPS)
+    wh = np.maximum(w @ hs, EPS)
+    return _simplex_update(hs * (w.T @ (xf / wh)), eta)
 
 
 def update_state(x: Array, model: DnmfModel, eta: Array, coeffs=None) -> Array:
@@ -396,27 +408,6 @@ def estimate_nvar(h: Array, a: Array, v: Array, sweeps: int = 1) -> Array:
     return a
 
 
-def _predict_columns(lags: list[Array], h: Array, t: int, eps: float) -> Array:
-    """Prior mean for frame ``t`` from already-updated columns of ``h``."""
-    ncomp = h.shape[0]
-    ones = np.ones(ncomp)
-    eta = np.zeros(ncomp)
-    for j, a in enumerate(lags, start=1):
-        eta += a @ (h[:, t - j] if t - j >= 0 else ones)
-    return np.maximum(eta, eps)
-
-
-def _normalize_basis(numer: Array) -> Array:
-    mass = numer.sum(axis=0)
-    if np.any(mass <= 0.0):
-        bad = int(np.argmin(mass))
-        raise ValueError(
-            f"basis column {bad} received zero total mass; "
-            "re-initialize with a different seed or a smaller rank"
-        )
-    return numer / mass
-
-
 def train(
     x: Array, rank: int, order: int, config: TrainConfig | None = None
 ) -> tuple[DnmfModel, Array]:
@@ -439,7 +430,7 @@ def train(
     order : int
         Autoregressive order; 0 disables the temporal prior entirely.
     config : TrainConfig, optional
-        Iteration counts, annealing, seed, floor.
+        Iteration counts, annealing, seed.
 
     Returns
     -------
@@ -454,10 +445,9 @@ def train(
     if order < 0:
         raise ValueError("order must be nonnegative")
     nfeat, nframes = data.shape
-    eps = cfg.eps
 
     rng = np.random.default_rng(cfg.seed)
-    xf = np.maximum(data, eps)
+    xf = np.maximum(data, EPS)
     # Seed the basis with randomly chosen data frames (jittered so no two
     # columns coincide): every component then starts as a spectrum the data
     # actually contains, which spreads the dictionary over the signal's
@@ -471,9 +461,9 @@ def train(
     for it in range(1, cfg.iters + 1):
         if order == 0 or it <= cfg.prior_start:
             # Uniform prior means: every frame decouples, so update in bulk.
-            wh = np.maximum(w @ h, eps)
+            wh = np.maximum(w @ h, EPS)
             ratio = xf / wh
-            w_new = _normalize_basis(w * (ratio @ h.T))
+            w_new = normalize_columns(w * (ratio @ h.T))
             counts = h * (w.T @ ratio)
             h = counts / counts.sum(axis=0)
             w = w_new
@@ -481,16 +471,16 @@ def train(
             w_acc = np.zeros_like(w)
             h_new = np.empty_like(h)
             for t in range(nframes):
-                h_old = np.maximum(h[:, t], eps)
-                wh = np.maximum(w @ h_old, eps)
+                h_old = np.maximum(h[:, t], EPS)
+                wh = np.maximum(w @ h_old, EPS)
                 ratio = xf[:, t] / wh
                 w_acc += np.outer(ratio, h_old)
-                counts = h_old * (w.T @ ratio)
-                eta = _predict_columns(lags, h_new, t, eps) ** cfg.anneal
-                beta = solve_beta(counts, eta)
-                hv = counts / (beta + 1.0 / eta)
-                h_new[:, t] = hv / hv.sum()
-            w = _normalize_basis(w * w_acc)
+                # Columns of h_new before t are this iteration's estimates.
+                pred = np.maximum(_predict(lags, h_new[:, :t].T), EPS)
+                h_new[:, t] = _simplex_update(
+                    h_old * (w.T @ ratio), pred ** cfg.anneal
+                )
+            w = normalize_columns(w * w_acc)
             h = h_new
         if order > 0 and it >= cfg.prior_start:
             v = build_lag_matrix(h, order)
@@ -547,7 +537,7 @@ def filter_frame(state: FilterState, x: Array) -> Array:
     xf = xf / xf.sum()
 
     if model.order >= 1:
-        pred = predict_state(model, list(state.history))
+        pred = predict_state(model, state.history)
         base = np.maximum(pred, EPS)
         h = np.maximum(pred, _INIT_FLOOR)
         h = h / h.sum()
@@ -584,8 +574,7 @@ def map_objective(x: Array, model: DnmfModel, h: Array) -> float:
     p = np.maximum(model.basis @ h, EPS)
     val = float((xf * np.log(p)).sum())
     if model.order >= 1:
-        v = build_lag_matrix(h, model.order)
-        eta = np.maximum(np.hstack(model.lags) @ v, EPS)
+        eta = _predict_all(model.lags, h)
         val -= float((np.log(eta) + h / eta).sum())
     return val
 

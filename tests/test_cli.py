@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,33 @@ def test_load_model_rejects_bad_documents(tmp_path):
     p.write_text(json.dumps(bad))
     with pytest.raises(ValueError):
         load_model(str(p))
+
+    no_basis = {k: v for k, v in doc.items() if k != "W"}
+    for name, bad in (("nw", no_basis), ("a", dict(doc, A=5)), ("list", [doc])):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match=re.escape(str(p))):
+            load_model(str(p))
+
+    # Through the CLI the same documents are input errors: exit code 2.
+    mix = str(tmp_path / "mix.wav")
+    write_wav(mix, np.zeros(4096), 16000)
+    code = main(
+        [
+            "separate",
+            "--mixture",
+            mix,
+            "--model1",
+            str(tmp_path / "nw.json"),
+            "--model2",
+            path,
+            "--out1",
+            str(tmp_path / "x1.wav"),
+            "--out2",
+            str(tmp_path / "x2.wav"),
+        ]
+    )
+    assert code == 2
 
 
 def test_load_model_renormalizes_small_drift(tmp_path):
@@ -290,6 +318,14 @@ def test_experiment_command_tracking_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "scenario,method,J,input_snr_db,metric,value,seed"
     assert len(lines) == 3  # header + static + dnmf
+
+
+def test_experiment_command_rejects_nonpositive_runs(tmp_path):
+    out = tmp_path / "exp.csv"
+    for runs in ("0", "-3"):
+        args = ["experiment", "--scenario", "tracking", "--runs", runs]
+        assert main(args + ["--snr", "5", "--csv", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_missing_input_exits_with_usage_error(tmp_path, capsys):

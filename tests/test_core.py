@@ -4,7 +4,6 @@ import pytest
 from dnmf.core import (
     EPS,
     is_divergence,
-    matmul,
     nonneg_matrix,
     normalize_columns,
     stochastic_matrix,
@@ -46,16 +45,6 @@ def test_normalize_columns_hand_case():
 def test_normalize_columns_rejects_zero_column():
     with pytest.raises(ValueError):
         normalize_columns(np.array([[0.0, 1.0], [0.0, 1.0]]))
-
-
-def test_matmul_checks_dimensions():
-    a = np.ones((2, 3))
-    b = np.ones((3, 4))
-    np.testing.assert_array_equal(matmul(a, b), a @ b)
-    with pytest.raises(ValueError):
-        matmul(a, np.ones((2, 4)))
-    with pytest.raises(ValueError):
-        matmul(np.ones(3), b)
 
 
 def test_is_divergence_hand_value():

@@ -6,8 +6,6 @@ from dnmf.plca import (
     fit_static_plca,
     is_nmf_update_h,
     is_nmf_update_w,
-    plca_posterior,
-    plca_update_w,
     reconstruct,
 )
 
@@ -39,44 +37,6 @@ def test_is_update_fixed_point_at_exact_factorization():
     x = w @ h
     h2 = is_nmf_update_h(x, w, h)
     np.testing.assert_allclose(h2, h, rtol=1e-10)
-
-
-def test_posterior_hand_values():
-    w = np.array([[0.9, 0.2], [0.1, 0.8]])
-    h = np.array([0.5, 0.5])
-    post = plca_posterior(w, h)
-    np.testing.assert_allclose(post[0], [9.0 / 11.0, 2.0 / 11.0], rtol=1e-14)
-    np.testing.assert_allclose(post[1], [1.0 / 9.0, 8.0 / 9.0], rtol=1e-14)
-
-
-def test_posterior_rows_sum_to_one_and_scale_invariance():
-    rng = np.random.default_rng(2)
-    w = normalize_columns(rng.uniform(0.05, 1.0, size=(10, 4)))
-    h = rng.uniform(0.05, 1.0, size=4)
-    post = plca_posterior(w, h)
-    np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-14)
-    np.testing.assert_allclose(post, plca_posterior(w, 7.5 * h), atol=1e-14)
-
-
-def test_posterior_rejects_empty_bin():
-    w = np.array([[1.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        plca_posterior(w, np.array([0.5, 0.5]))
-
-
-def test_update_w_matches_hand_computation():
-    rng = np.random.default_rng(3)
-    x, w, h = _random_instance(rng, k=5, i=2, t=4)
-    resp = np.stack([plca_posterior(w, h[:, t]) for t in range(4)])
-    out = plca_update_w(x, resp)
-    numer = np.einsum("kt,tki->ki", x, resp)
-    np.testing.assert_allclose(out, numer / numer.sum(axis=0), rtol=1e-14)
-    np.testing.assert_allclose(out.sum(axis=0), 1.0, atol=1e-12)
-
-
-def test_update_w_shape_validation():
-    with pytest.raises(ValueError):
-        plca_update_w(np.ones((3, 2)), np.ones((2, 4, 5)))
 
 
 def test_fit_static_plca_outputs_are_stochastic():

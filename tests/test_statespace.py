@@ -244,8 +244,6 @@ def test_train_config_validation():
         TrainConfig(anneal=0.0)
     with pytest.raises(ValueError):
         TrainConfig(anneal=1.5)
-    with pytest.raises(ValueError):
-        TrainConfig(eps=0.0)
 
 
 def test_concat_models_block_structure():
