@@ -146,6 +146,12 @@ def _separate_pipeline(
             "to a power-of-two FFT"
         )
     hop = hop if hop is not None else fft_size // 4
+    n = samples.shape[0]
+    tail = (fft_size - n) % hop
+    if n >= fft_size and tail:
+        # Zero-pad so the last frame ends on the final sample or after it;
+        # the outputs are trimmed back to n.  Shorter inputs stay an error.
+        samples = np.pad(samples, (0, tail))
     spec = stft(samples, fft_size, hop, rate)
     est_a, est_b = separate_sources(
         spec, model_a, model_b, anneal=q, inner_iters=inner_iters
@@ -153,7 +159,7 @@ def _separate_pipeline(
     phase = np.exp(1j * spec.phase)
     out_a = istft(Spectrogram(est_a * phase, fft_size, hop, rate))
     out_b = istft(Spectrogram(est_b * phase, fft_size, hop, rate))
-    return out_a, out_b, rate
+    return out_a[:n], out_b[:n], rate
 
 
 def cmd_separate(args: argparse.Namespace) -> int:

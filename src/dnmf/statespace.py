@@ -145,10 +145,6 @@ class FilterState:
         self.inner_iters = int(inner_iters)
         self.history: deque[Array] = deque(maxlen=model.order)
 
-    def reset(self) -> None:
-        """Forget all stored history."""
-        self.history.clear()
-
 
 def predict_state(model: DnmfModel, history) -> Array:
     """Predicted coefficient mean from the autoregressive dynamics.
@@ -200,8 +196,11 @@ def solve_beta(c: Array, eta: Array) -> float:
     root right of the pole at ``-min(1/eta[i])`` (taken over entries with
     ``c[i] > 0``, where ``g`` is strictly decreasing from +inf to 0).
 
-    Uses Newton's method started at ``sum(c) - 1`` (exact when ``eta`` is
-    uniform), safeguarded by a maintained bracket with bisection fallback.
+    The root lies in the closed-form bracket ``[pole + c_m, pole + sum(c)]``,
+    with ``c_m`` the count at the smallest ``1/eta``.  Newton's method starts
+    at ``sum(c) - 1``, clamped to the bracket (exact when ``eta`` is all ones;
+    for uniform ``eta`` the root is ``sum(c) - 1/eta``), and falls back to
+    bisection whenever a step would leave the shrinking bracket.
 
     Parameters
     ----------
@@ -235,21 +234,11 @@ def solve_beta(c: Array, eta: Array) -> float:
     def g(b: float) -> float:
         return float((cs / (b + inv)).sum())
 
-    # Bracket the root: g(lo) > 1 just right of the pole, g(hi) < 1 far out.
-    lo = pole + 1e-9 * max(1.0, abs(pole))
-    for _ in range(1100):
-        if g(lo) > 1.0:
-            break
-        lo = pole + (lo - pole) * 0.125
-    else:
-        raise ConvergenceError("could not bracket the normalizer near its pole")
-    hi = max(1.0, total)
-    for _ in range(1100):
-        if g(hi) < 1.0:
-            break
-        hi = 2.0 * hi + 1.0
-    else:
-        raise ConvergenceError("could not bracket the normalizer from above")
+    # Closed-form bracket.  The term with the smallest 1/eta alone gives
+    # g(lo) >= c_m / (lo - pole) = 1; every denominator at hi is at least
+    # hi - pole = sum(c), so g(hi) <= 1.
+    lo = pole + float(cs[np.argmin(inv)])
+    hi = pole + total
 
     resolution = 8.0 * np.finfo(np.float64).eps
     beta = min(max(total - 1.0, lo), hi)
@@ -413,13 +402,15 @@ def train(
 ) -> tuple[DnmfModel, Array]:
     """Fit basis, coefficients, and lag matrices by generalized EM.
 
-    Each iteration computes responsibilities at the previous parameters and
-    then (a) updates the basis, (b) re-estimates every frame's coefficients
-    sequentially, and, once ``config.prior_start`` is reached, (c) applies
-    one multiplicative sweep to the lag matrices.  Coefficient updates use
-    uniform prior means until iteration ``prior_start``; afterwards they use
-    annealed predictions built from the lag matrices and the already-updated
-    coefficients of earlier frames.
+    Each iteration computes the responsibilities' weighted counts and the
+    basis update once, in bulk, from the previous parameters.  It then (a)
+    re-estimates the coefficients and, once ``config.prior_start`` is
+    reached, (b) applies one multiplicative sweep to the lag matrices.
+    Coefficient updates use uniform prior means until iteration
+    ``prior_start``, which normalizes the counts in bulk; afterwards each
+    frame's simplex update uses the annealed prediction built from the lag
+    matrices and the already-updated coefficients of earlier frames, and
+    this prediction-driven update is the only sequential step.
 
     Parameters
     ----------
@@ -459,29 +450,19 @@ def train(
     lags = [rng.uniform(0.1, 1.1, size=(rank, rank)) for _ in range(order)]
 
     for it in range(1, cfg.iters + 1):
+        # E-step and basis update depend only on the previous iterate.
+        hs = np.maximum(h, EPS)
+        ratio = xf / np.maximum(w @ hs, EPS)
+        counts = hs * (w.T @ ratio)
+        w = normalize_columns(w * (ratio @ hs.T))
         if order == 0 or it <= cfg.prior_start:
-            # Uniform prior means: every frame decouples, so update in bulk.
-            wh = np.maximum(w @ h, EPS)
-            ratio = xf / wh
-            w_new = normalize_columns(w * (ratio @ h.T))
-            counts = h * (w.T @ ratio)
+            # Uniform prior means: every frame decouples.
             h = counts / counts.sum(axis=0)
-            w = w_new
         else:
-            w_acc = np.zeros_like(w)
-            h_new = np.empty_like(h)
+            # Columns of h before t already hold this iteration's estimates.
             for t in range(nframes):
-                h_old = np.maximum(h[:, t], EPS)
-                wh = np.maximum(w @ h_old, EPS)
-                ratio = xf[:, t] / wh
-                w_acc += np.outer(ratio, h_old)
-                # Columns of h_new before t are this iteration's estimates.
-                pred = np.maximum(_predict(lags, h_new[:, :t].T), EPS)
-                h_new[:, t] = _simplex_update(
-                    h_old * (w.T @ ratio), pred ** cfg.anneal
-                )
-            w = normalize_columns(w * w_acc)
-            h = h_new
+                pred = np.maximum(_predict(lags, h[:, :t].T), EPS)
+                h[:, t] = _simplex_update(counts[:, t], pred ** cfg.anneal)
         if order > 0 and it >= cfg.prior_start:
             v = build_lag_matrix(h, order)
             stacked = estimate_nvar(h, np.hstack(lags), v, sweeps=1)

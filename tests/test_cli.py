@@ -254,6 +254,25 @@ def test_denoise_command_writes_primary_estimate(tmp_path):
     assert y.shape[0] > 0
 
 
+def test_separate_and_denoise_keep_every_input_sample(tmp_path):
+    # 16100 - 1024 is not a multiple of the 256-sample hop, so the last
+    # frame must be zero-padded rather than dropped with the tail.
+    _, model_a, model_b, sc = _write_separation_fixture(tmp_path)
+    rng = np.random.default_rng(9)
+    mix_path = str(tmp_path / "odd.wav")
+    write_wav(mix_path, rng.uniform(-0.3, 0.3, size=16100), sc.sample_rate)
+    out1, out2, out3 = (str(tmp_path / f"o{i}.wav") for i in range(3))
+    models = ["--model1", model_a, "--model2", model_b]
+    assert main(["separate", "--mixture", mix_path, *models,
+                 "--out1", out1, "--out2", out2]) == 0
+    assert main(["denoise", "--input", mix_path, "--speech-model", model_a,
+                 "--noise-model", model_b, "--out", out3]) == 0
+    for path in (out1, out2, out3):
+        y, _ = read_wav(path)
+        assert y.shape[0] == 16100
+        assert np.any(y[-100:] != 0.0)
+
+
 def test_separate_rejects_mismatched_models(tmp_path):
     mix_path, model_a, _, _ = _write_separation_fixture(tmp_path)
     rng = np.random.default_rng(8)

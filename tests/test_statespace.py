@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnmf.core import EPS, is_divergence, normalize_columns
 from dnmf.statespace import (
+    _predict,
+    _simplex_update,
     DnmfModel,
     FilterState,
     TrainConfig,
@@ -82,6 +86,52 @@ def test_solve_beta_matches_bisection():
         h = c / (beta + 1.0 / eta)
         assert abs(h.sum() - 1.0) < 1e-8
         assert np.all(h >= 0.0)
+
+
+@st.composite
+def _normalizer_inputs(draw):
+    """Counts and prior means with ties, single-entry support, uniform eta."""
+    n = draw(st.integers(1, 12))
+    c = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=n, max_size=n
+    )))
+    if c.sum() <= 0.0:
+        c[draw(st.integers(0, n - 1))] = draw(st.floats(1e-3, 1e3))
+    kind = draw(st.sampled_from(["free", "tie", "single", "uniform"]))
+    if kind == "uniform":
+        eta = np.full(n, draw(st.floats(1e-6, 1e6)))
+    else:
+        eta = np.array(draw(st.lists(st.floats(1e-6, 1e6), min_size=n, max_size=n)))
+    support = np.flatnonzero(c > 0.0)
+    if kind == "tie":
+        # The first two supported entries share the smallest 1/eta.
+        eta[support[:2]] = eta[support].max()
+    elif kind == "single":
+        keep = draw(st.sampled_from(list(support)))
+        c[np.arange(n) != keep] = 0.0
+    return c, eta
+
+
+@settings(max_examples=300, deadline=None)
+@given(_normalizer_inputs())
+def test_solve_beta_bracket_and_oracle_property(inputs):
+    c, eta = inputs
+    beta = solve_beta(c, eta)
+    support = c > 0.0
+    inv = 1.0 / eta[support]
+    pole = float(-inv.min())
+    total = float(c.sum())
+    c_m = float(c[support][np.argmin(inv)])
+    # Tolerances are relative to the problem's scale: |pole| and sum(c).
+    scale = max(1.0, abs(pole), total)
+    slack = 1e-12 * scale
+    assert pole + c_m - slack <= beta <= pole + total + slack
+    assert abs(beta - _bisect_beta(c, eta)) <= 1e-8 * max(abs(beta), scale)
+    if np.all(eta == eta[0]):
+        assert abs(beta - (total - 1.0 / eta[0])) <= 1e-8 * scale
+    h = _simplex_update(c, eta)
+    assert np.all(h >= 0.0)
+    assert abs(h.sum() - 1.0) <= 1e-12
 
 
 def test_solve_beta_validation():
@@ -307,6 +357,66 @@ def test_train_improves_map_objective():
     assert map_objective(x, full, h_full) >= map_objective(x, short, h_short)
 
 
+def _train_per_frame(x, rank, order, cfg):
+    """Reference ``train`` whose dynamic phase redoes the E/M step per frame."""
+    rng = np.random.default_rng(cfg.seed)
+    xf = np.maximum(np.asarray(x, dtype=np.float64), EPS)
+    nfeat, nframes = xf.shape
+    picks = rng.choice(nframes, size=rank, replace=nframes < rank)
+    jitter = rng.uniform(0.05, 0.15, size=(nfeat, rank))
+    w = normalize_columns(xf[:, picks] / xf[:, picks].mean(axis=0) + jitter)
+    h = normalize_columns(rng.uniform(0.1, 1.1, size=(rank, nframes)))
+    lags = [rng.uniform(0.1, 1.1, size=(rank, rank)) for _ in range(order)]
+    for it in range(1, cfg.iters + 1):
+        if order == 0 or it <= cfg.prior_start:
+            ratio = xf / np.maximum(w @ h, EPS)
+            w_new = normalize_columns(w * (ratio @ h.T))
+            counts = h * (w.T @ ratio)
+            h = counts / counts.sum(axis=0)
+            w = w_new
+        else:
+            w_acc = np.zeros_like(w)
+            h_new = np.empty_like(h)
+            for t in range(nframes):
+                h_old = np.maximum(h[:, t], EPS)
+                ratio = xf[:, t] / np.maximum(w @ h_old, EPS)
+                w_acc += np.outer(ratio, h_old)
+                pred = np.maximum(_predict(lags, h_new[:, :t].T), EPS)
+                h_new[:, t] = _simplex_update(
+                    h_old * (w.T @ ratio), pred ** cfg.anneal
+                )
+            w = normalize_columns(w * w_acc)
+            h = h_new
+        if order > 0 and it >= cfg.prior_start:
+            stacked = estimate_nvar(h, np.hstack(lags), build_lag_matrix(h, order))
+            lags = [stacked[:, j * rank : (j + 1) * rank] for j in range(order)]
+    return w, h, lags
+
+
+def test_train_matches_per_frame_reference():
+    rng = np.random.default_rng(64)
+    for _ in range(40):
+        order = int(rng.integers(0, 4))
+        iters = int(rng.integers(1, 9))
+        cfg = TrainConfig(
+            iters=iters,
+            prior_start=int(rng.integers(0, iters + 1)),
+            anneal=float(rng.choice([0.15, 1.0])),
+            seed=int(rng.integers(1000)),
+        )
+        shape = (int(rng.integers(3, 9)), int(rng.integers(2, 13)))
+        x = rng.uniform(0.0, 2.0, size=shape)
+        x[rng.uniform(size=x.shape) < 0.2] = 0.0
+        rank = int(rng.integers(1, 5))
+        model, h = train(x, rank, order, cfg)
+        w_ref, h_ref, lags_ref = _train_per_frame(x, rank, order, cfg)
+        np.testing.assert_allclose(model.basis, w_ref, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(h, h_ref, rtol=0, atol=1e-10)
+        assert model.order == len(lags_ref)
+        for a, a_ref in zip(model.lags, lags_ref):
+            np.testing.assert_allclose(a, a_ref, rtol=0, atol=1e-10)
+
+
 def test_train_validation():
     with pytest.raises(ValueError):
         train(np.ones((4, 6)), 0, 1)
@@ -388,8 +498,6 @@ def test_filter_frame_history_ring_buffer():
     for t in range(5):
         filter_frame(state, rng.uniform(0.1, 1.0, size=5))
         assert len(state.history) == min(t + 1, 2)
-    state.reset()
-    assert len(state.history) == 0
 
 
 def test_filter_frame_validation():
