@@ -12,7 +12,7 @@ and noise levels.
 
 import numpy as np
 
-from dnmf import DnmfModel, FilterState, filter_frame, mix_at_snr, stft
+from dnmf import DnmfModel, FilterState, filter_stream, mix_at_snr, stft
 from dnmf.experiments import (
     TrackingScenario,
     gen_swept_sinusoid,
@@ -35,13 +35,12 @@ mag = stft(noisy, scenario.fft_size, scenario.hop, scenario.sample_rate).magnitu
 
 static = FilterState(DnmfModel(basis=np.eye(n_bins), lags=[]), inner_iters=50)
 dynamic = FilterState(tracking_model(n_bins), anneal=0.25, inner_iters=1)
+f_static = track_frequency(filter_stream(static, mag), scenario.fft_size)
+f_dynamic = track_frequency(filter_stream(dynamic, mag), scenario.fft_size)
 print("single run at -10 dB (frequency in radians/sample):")
 print("  frame   truth   static  dynamic")
-for t in range(mag.shape[1]):
-    f_static = track_frequency(filter_frame(static, mag[:, t]), scenario.fft_size)
-    f_dynamic = track_frequency(filter_frame(dynamic, mag[:, t]), scenario.fft_size)
-    if t % 25 == 0:
-        print(f"  {t:5d}  {truths[t]:6.3f}  {f_static:7.3f}  {f_dynamic:7.3f}")
+for t in range(0, mag.shape[1], 25):
+    print(f"  {t:5d}  {truths[t]:6.3f}  {f_static[t]:7.3f}  {f_dynamic[t]:7.3f}")
 
 # Monte Carlo comparison.  Each row of the report is one run's mean
 # squared error; averaging over runs gives the per-method curve.

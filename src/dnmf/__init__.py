@@ -30,11 +30,10 @@ from .statespace import (
     concat_models,
     estimate_nvar,
     filter_frame,
+    filter_stream,
     map_objective,
-    predict_state,
     solve_beta,
     train,
-    update_state,
 )
 from .wav import read_wav, write_wav
 
@@ -55,13 +54,12 @@ __all__ = [
     "DnmfModel",
     "TrainConfig",
     "FilterState",
-    "predict_state",
     "solve_beta",
-    "update_state",
     "build_lag_matrix",
     "estimate_nvar",
     "train",
     "filter_frame",
+    "filter_stream",
     "map_objective",
     "concat_models",
     "Spectrogram",

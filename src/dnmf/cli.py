@@ -29,7 +29,7 @@ from .statespace import (
     FilterState,
     TrainConfig,
     _predict_all,
-    filter_frame,
+    filter_stream,
     map_objective,
     train,
 )
@@ -157,6 +157,8 @@ def _separate_pipeline(
         spec, model_a, model_b, anneal=q, inner_iters=inner_iters
     )
     phase = np.exp(1j * spec.phase)
+    # Free the complex spectrogram before resynthesis, where peak memory is.
+    del spec
     out_a = istft(Spectrogram(est_a * phase, fft_size, hop, rate))
     out_b = istft(Spectrogram(est_b * phase, fft_size, hop, rate))
     return out_a[:n], out_b[:n], rate
@@ -208,11 +210,11 @@ def cmd_track(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.input}: tracking expects 8000 Hz, got {rate}")
     mag = stft(samples, 128, 128, rate).magnitude
     state = FilterState(tracking_model(), anneal=args.q, inner_iters=args.inner_iters)
+    omega = track_frequency(filter_stream(state, mag), 128)
+    rows = np.column_stack((np.arange(omega.size), omega))
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("frame,omega_rad_per_sample\n")
-        for t in range(mag.shape[1]):
-            h = filter_frame(state, mag[:, t])
-            fh.write(f"{t},{track_frequency(h, 128):.10g}\n")
+        np.savetxt(fh, rows, fmt=("%d", "%.10g"), delimiter=",",
+                   header="frame,omega_rad_per_sample", comments="")
     print(f"{mag.shape[1]} frames written to {args.out}")
     return 0
 

@@ -100,13 +100,9 @@ def stft(signal: Array, fft_size: int, hop: int, sample_rate: int) -> Spectrogra
         raise ValueError(
             f"signal length {signal.shape[0]} shorter than fft_size {fft_size}"
         )
-    window = _hann(fft_size)
-    n_frames = (signal.shape[0] - fft_size) // hop + 1
-    frames = np.empty((fft_size // 2 + 1, n_frames), dtype=np.complex128)
-    for t in range(n_frames):
-        start = t * hop
-        frames[:, t] = np.fft.rfft(signal[start : start + fft_size] * window)
-    return Spectrogram(frames, fft_size, hop, sample_rate)
+    segments = np.lib.stride_tricks.sliding_window_view(signal, fft_size)[::hop]
+    frames = np.fft.rfft(segments * _hann(fft_size), axis=1)
+    return Spectrogram(frames.T, fft_size, hop, sample_rate)
 
 
 def istft(spec: Spectrogram) -> Array:
@@ -114,8 +110,12 @@ def istft(spec: Spectrogram) -> Array:
 
     Each inverse frame is windowed again, accumulated at its original offset,
     and the result is divided samplewise by the summed squared window.
-    Samples whose window sum falls below 1e-8 (frame edges at large hops) are
-    set to zero.  Output length is ``fft_size + (n_frames - 1) * hop``.
+    Every sample whose summed squared window falls below 1e-8 is set to zero.
+    The periodic Hann window is zero at its first sample and tiny near both
+    ends, so at any hop this zeroes the first and last samples of the output
+    (samples 0-3 and the last three at ``fft_size`` 1024, sample 0 alone at
+    256 or less), and at hops near ``fft_size`` also frame edges inside it.
+    Output length is ``fft_size + (n_frames - 1) * hop``.
     """
     window = _hann(spec.fft_size)
     length = spec.fft_size + (spec.n_frames - 1) * spec.hop

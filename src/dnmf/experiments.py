@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import Array
 from .dsp import Spectrogram, istft, mix_at_snr, output_snr, stft, wiener_reconstruct
-from .statespace import DnmfModel, FilterState, TrainConfig, concat_models, filter_frame, train
+from .statespace import DnmfModel, FilterState, TrainConfig, concat_models, filter_stream, train
 
 __all__ = [
     "TrackingScenario",
@@ -160,11 +160,14 @@ def tracking_model(n_bins: int = 65) -> DnmfModel:
     return DnmfModel(basis=np.eye(n_bins), lags=[lag])
 
 
-def track_frequency(h: Array, fft_size: int = 128) -> float:
+def track_frequency(h: Array, fft_size: int = 128) -> float | Array:
     """Frequency readout: the bin of the largest coefficient, in radians per
-    sample (ties resolve to the lower bin)."""
-    h = np.asarray(h)
-    return 2.0 * np.pi * int(np.argmax(h)) / fft_size
+    sample (ties resolve to the lower bin).
+
+    ``h`` is one coefficient vector, giving one frequency, or a (bins,
+    frames) array, giving one frequency per column.
+    """
+    return 2.0 * np.pi * np.argmax(h, axis=0) / fft_size
 
 
 def tracking_mse(estimates: Array, truths: Array) -> float:
@@ -212,10 +215,7 @@ def run_tracking(scenario: TrackingScenario, seed: int = 0) -> ExperimentReport:
                 ("dnmf", dynamic, _DNMF_INNER),
             ):
                 state = FilterState(model, anneal=_TRACK_ANNEAL, inner_iters=inner)
-                est = np.empty(mag.shape[1])
-                for t in range(mag.shape[1]):
-                    h = filter_frame(state, mag[:, t])
-                    est[t] = track_frequency(h, scenario.fft_size)
+                est = track_frequency(filter_stream(state, mag), scenario.fft_size)
                 report.add(
                     scenario="tracking",
                     method=method,
@@ -255,15 +255,9 @@ def separate_sources(
     model = concat_models(model1, model2)
     state = FilterState(model, anneal=anneal, inner_iters=inner_iters)
     mag = mix_spec.magnitude
+    h = filter_stream(state, mag)
     n1 = model1.n_components
-    est1 = np.empty_like(mag)
-    est2 = np.empty_like(mag)
-    for t in range(mag.shape[1]):
-        h = filter_frame(state, mag[:, t])
-        e1 = model1.basis @ h[:n1]
-        e2 = model2.basis @ h[n1:]
-        est1[:, t], est2[:, t] = wiener_reconstruct(mag[:, t], e1, e2)
-    return est1, est2
+    return wiener_reconstruct(mag, model1.basis @ h[:n1], model2.basis @ h[n1:])
 
 
 def run_separation(scenario: SeparationScenario, seed: int = 0) -> ExperimentReport:

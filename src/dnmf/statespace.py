@@ -36,13 +36,12 @@ __all__ = [
     "DnmfModel",
     "TrainConfig",
     "FilterState",
-    "predict_state",
     "solve_beta",
-    "update_state",
     "build_lag_matrix",
     "estimate_nvar",
     "train",
     "filter_frame",
+    "filter_stream",
     "map_objective",
     "concat_models",
 ]
@@ -144,28 +143,6 @@ class FilterState:
         self.anneal = float(anneal)
         self.inner_iters = int(inner_iters)
         self.history: deque[Array] = deque(maxlen=model.order)
-
-
-def predict_state(model: DnmfModel, history) -> Array:
-    """Predicted coefficient mean from the autoregressive dynamics.
-
-    Parameters
-    ----------
-    model : DnmfModel
-        Must have ``order >= 1``.
-    history : sequence of np.ndarray
-        Past coefficient vectors, oldest first; ``history[-1]`` is the most
-        recent frame.  Missing lags (fewer than ``order`` entries) are
-        substituted with all-ones vectors.
-
-    Returns
-    -------
-    np.ndarray
-        Nonnegative prediction, length ``model.n_components``.
-    """
-    if model.order < 1:
-        raise ValueError("predict_state requires a model with order >= 1")
-    return _predict(model.lags, history)
 
 
 def _predict(lags: list[Array], history) -> Array:
@@ -287,45 +264,6 @@ def _em_step(xf: Array, w: Array, eta: Array, h: Array) -> Array:
     hs = np.maximum(h, EPS)
     wh = np.maximum(w @ hs, EPS)
     return _simplex_update(hs * (w.T @ (xf / wh)), eta)
-
-
-def update_state(x: Array, model: DnmfModel, eta: Array, coeffs=None) -> Array:
-    """Single EM update of one frame's coefficients under a given prior mean.
-
-    Responsibilities are computed from ``coeffs`` when provided, otherwise
-    from the prediction ``eta`` itself (the natural estimate before the frame
-    is seen).  The result maximizes the responsibility-weighted frame
-    objective ``sum_i c[i]*log(h[i]) - h[i]/eta[i]`` over the simplex, with
-    the multiplier found by :func:`solve_beta`.
-
-    Parameters
-    ----------
-    x : np.ndarray
-        Nonnegative observation, length ``model.n_features``; floored
-        internally but kept at its natural scale.
-    model : DnmfModel
-        Supplies the basis.
-    eta : np.ndarray
-        Strictly positive prior mean, length ``model.n_components``.
-    coeffs : np.ndarray, optional
-        Current coefficient estimate used for the responsibilities.
-
-    Returns
-    -------
-    np.ndarray
-        Updated coefficients on the simplex.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    eta = np.asarray(eta, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.n_features:
-        raise ValueError(f"frame must have length {model.n_features}")
-    if eta.shape != (model.n_components,) or np.any(eta <= 0.0):
-        raise ValueError("eta must be strictly positive with one entry per component")
-    if np.any(x < 0.0) or not np.all(np.isfinite(x)):
-        raise ValueError("frame must be nonnegative and finite")
-    xf = np.maximum(x, EPS)
-    src = eta if coeffs is None else np.asarray(coeffs, dtype=np.float64)
-    return _em_step(xf, model.basis, eta, src)
 
 
 def build_lag_matrix(h: Array, order: int) -> Array:
@@ -518,7 +456,7 @@ def filter_frame(state: FilterState, x: Array) -> Array:
     xf = xf / xf.sum()
 
     if model.order >= 1:
-        pred = predict_state(model, state.history)
+        pred = _predict(model.lags, state.history)
         base = np.maximum(pred, EPS)
         h = np.maximum(pred, _INIT_FLOOR)
         h = h / h.sum()
@@ -529,6 +467,34 @@ def filter_frame(state: FilterState, x: Array) -> Array:
         eta = base ** (state.anneal / r)
         h = _em_step(xf, model.basis, eta, h)
     state.history.append(h)
+    return h
+
+
+def filter_stream(state: FilterState, frames: Array) -> Array:
+    """Filter every column of ``frames`` in order with :func:`filter_frame`.
+
+    The stream continues ``state``'s history, so filtering a stream in two
+    calls gives the same coefficients as filtering it in one.
+
+    Parameters
+    ----------
+    state : FilterState
+        Model plus rolling history; mutated frame by frame.
+    frames : np.ndarray
+        Nonnegative observations, shape (model.n_features, n_frames).
+
+    Returns
+    -------
+    np.ndarray
+        Coefficients of shape (model.n_components, n_frames); each column
+        lies on the simplex.
+    """
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 2 or frames.shape[0] != state.model.n_features:
+        raise ValueError(f"frames must be 2-D with {state.model.n_features} rows")
+    h = np.empty((state.model.n_components, frames.shape[1]))
+    for t in range(frames.shape[1]):
+        h[:, t] = filter_frame(state, frames[:, t])
     return h
 
 

@@ -20,6 +20,7 @@ from dnmf.experiments import (
 )
 from dnmf.plca import fit_static_plca, is_nmf_update_h, is_nmf_update_w
 from dnmf.statespace import (
+    _em_step,
     DnmfModel,
     FilterState,
     TrainConfig,
@@ -29,7 +30,6 @@ from dnmf.statespace import (
     map_objective,
     solve_beta,
     train,
-    update_state,
 )
 
 
@@ -159,7 +159,7 @@ def test_uniform_prior_identity():
         model = DnmfModel(basis=basis, lags=[])
         x = rng.uniform(0.0, 3.0, size=k)
         coeffs = rng.uniform(0.05, 1.0, size=i)
-        got = update_state(x, model, np.ones(i), coeffs=coeffs)
+        got = _em_step(np.maximum(x, EPS), model.basis, np.ones(i), coeffs)
         xf = np.maximum(x, EPS)
         wh = np.maximum(basis @ coeffs, EPS)
         counts = coeffs * (basis.T @ (xf / wh))

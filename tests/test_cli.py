@@ -273,6 +273,26 @@ def test_separate_and_denoise_keep_every_input_sample(tmp_path):
         assert np.any(y[-100:] != 0.0)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="istft zeroes samples 0-3 at fft 1024, where the squared periodic "
+    "Hann window sums below its 1e-8 cutoff; the fix changes the frame count",
+)
+def test_separate_outputs_rebuild_first_samples(tmp_path):
+    _, model_a, model_b, sc = _write_separation_fixture(tmp_path)
+    rng = np.random.default_rng(9)
+    mix_path = str(tmp_path / "noise.wav")
+    write_wav(mix_path, rng.uniform(-0.3, 0.3, size=16100), sc.sample_rate)
+    out1, out2 = str(tmp_path / "o1.wav"), str(tmp_path / "o2.wav")
+    assert main(["separate", "--mixture", mix_path, "--model1", model_a,
+                 "--model2", model_b, "--out1", out1, "--out2", out2]) == 0
+    mix, _ = read_wav(mix_path)
+    y1, _ = read_wav(out1)
+    y2, _ = read_wav(out2)
+    # Each output is quantized to 16 bits, so the sum is within two steps.
+    assert np.max(np.abs(y1[:4] + y2[:4] - mix[:4])) <= 2.0 / 32768.0
+
+
 def test_separate_rejects_mismatched_models(tmp_path):
     mix_path, model_a, _, _ = _write_separation_fixture(tmp_path)
     rng = np.random.default_rng(8)
@@ -309,6 +329,7 @@ def test_track_command_row_count(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "frame,omega_rad_per_sample"
     assert len(lines) - 1 == (n - 128) // 128 + 1
+    assert [line.split(",")[0] for line in lines[1:]] == [str(t) for t in range(len(lines) - 1)]
 
 
 def test_track_command_rejects_wrong_rate(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from dnmf.dsp import (
     Spectrogram,
+    _hann,
     input_snr,
     istft,
     mix_at_snr,
@@ -27,6 +28,33 @@ def test_stft_pure_tone_peaks_at_its_bin():
     sig = np.sin(2.0 * np.pi * 8.0 * n / 128.0)
     mag = stft(sig, 128, 128, 8000).magnitude
     np.testing.assert_array_equal(np.argmax(mag, axis=0), 8)
+
+
+def _stft_per_frame(signal, fft_size, hop):
+    """Frame-by-frame reference for stft."""
+    window = _hann(fft_size)
+    n_frames = (signal.shape[0] - fft_size) // hop + 1
+    frames = np.empty((fft_size // 2 + 1, n_frames), dtype=np.complex128)
+    for t in range(n_frames):
+        start = t * hop
+        frames[:, t] = np.fft.rfft(signal[start : start + fft_size] * window)
+    return frames
+
+
+@pytest.mark.parametrize(
+    "n, fft_size, hop",
+    [
+        (1024, 1024, 256),  # n == fft_size: a single frame
+        (3000, 128, 200),  # hop > fft_size: samples between frames are skipped
+        (16100, 1024, 256),  # (n - fft_size) % hop != 0: trailing partial hop
+        (5000, 128, 100),
+        (8192, 512, 128),
+    ],
+)
+def test_stft_matches_per_frame_reference(n, fft_size, hop):
+    sig = np.random.default_rng(n).standard_normal(n)
+    spec = stft(sig, fft_size, hop, 16000)
+    assert np.array_equal(spec.frames, _stft_per_frame(sig, fft_size, hop))
 
 
 def test_stft_validation():

@@ -15,8 +15,8 @@ from dnmf.experiments import (
     tracking_mse,
     tracking_model,
 )
-from dnmf.dsp import mix_at_snr, stft
-from dnmf.statespace import TrainConfig, train
+from dnmf.dsp import mix_at_snr, stft, wiener_reconstruct
+from dnmf.statespace import FilterState, TrainConfig, concat_models, filter_frame, train
 
 
 def test_swept_sinusoid_shape_and_truth_anchors():
@@ -39,6 +39,18 @@ def test_track_frequency_hand_values():
     assert track_frequency(h, 128) == pytest.approx(16.0 * np.pi / 128.0)
     # Ties resolve to the lower bin.
     assert track_frequency(np.ones(65), 128) == 0.0
+
+
+def test_track_frequency_columns_match_per_column_calls():
+    rng = np.random.default_rng(12)
+    # Small integer entries make ties common; column 0 is all ties.
+    h = rng.integers(0, 3, size=(65, 40)).astype(np.float64)
+    h[:, 0] = 1.0
+    got = track_frequency(h, 128)
+    want = np.array([track_frequency(h[:, t], 128) for t in range(40)])
+    assert got.shape == (40,)
+    assert got[0] == 0.0
+    assert np.array_equal(got, want)
 
 
 def test_tracking_mse_hand_value():
@@ -79,6 +91,36 @@ def test_separate_sources_outputs_partition_mixture():
     np.testing.assert_allclose(e1 + e2, spec.magnitude, rtol=0.0, atol=1e-12)
     assert np.all(e1 >= 0.0)
     assert np.all(e2 >= 0.0)
+
+
+def _separate_per_frame(mix_spec, model1, model2, anneal=0.1, inner_iters=1):
+    """Per-frame reference for separate_sources: one Wiener split per frame."""
+    state = FilterState(concat_models(model1, model2), anneal=anneal, inner_iters=inner_iters)
+    mag = mix_spec.magnitude
+    n1 = model1.n_components
+    est1 = np.empty_like(mag)
+    est2 = np.empty_like(mag)
+    for t in range(mag.shape[1]):
+        h = filter_frame(state, mag[:, t])
+        e1 = model1.basis @ h[:n1]
+        e2 = model2.basis @ h[n1:]
+        est1[:, t], est2[:, t] = wiener_reconstruct(mag[:, t], e1, e2)
+    return est1, est2
+
+
+@pytest.mark.parametrize("order, inner_iters", [(1, 1), (2, 3)])
+def test_separate_sources_matches_per_frame_reference(order, inner_iters):
+    sc = SeparationScenario(duration=0.3, rank=5)
+    s1, s2 = gen_chirp_pair(sc)
+    spec = stft(mix_at_snr(s1, s2, 0.0), sc.fft_size, sc.hop, sc.sample_rate)
+    cfg = TrainConfig(iters=12, prior_start=6, seed=1)
+    m1, _ = train(stft(s1, sc.fft_size, sc.hop, sc.sample_rate).magnitude, 5, order, cfg)
+    m2, _ = train(stft(s2, sc.fft_size, sc.hop, sc.sample_rate).magnitude, 5, order, cfg)
+    got = separate_sources(spec, m1, m2, 0.2, inner_iters)
+    want = _separate_per_frame(spec, m1, m2, 0.2, inner_iters)
+    # One matrix product per source rounds differently from per-column ones.
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-12)
 
 
 def test_run_tracking_report_layout():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from dnmf.core import EPS, is_divergence, normalize_columns
 from dnmf.statespace import (
+    _em_step,
     _predict,
     _simplex_update,
     DnmfModel,
@@ -14,11 +15,10 @@ from dnmf.statespace import (
     concat_models,
     estimate_nvar,
     filter_frame,
+    filter_stream,
     map_objective,
-    predict_state,
     solve_beta,
     train,
-    update_state,
 )
 
 
@@ -147,7 +147,7 @@ def test_solve_beta_validation():
 
 
 # ---------------------------------------------------------------------------
-# update_state
+# single-frame EM update (_em_step)
 
 
 def test_update_state_uniform_prior_is_normalized_counts():
@@ -156,7 +156,7 @@ def test_update_state_uniform_prior_is_normalized_counts():
     for _ in range(25):
         x = rng.uniform(0.0, 2.0, size=8)
         coeffs = rng.uniform(0.1, 1.0, size=4)
-        got = update_state(x, model, np.ones(4), coeffs=coeffs)
+        got = _em_step(np.maximum(x, EPS), model.basis, np.ones(4), coeffs)
         xf = np.maximum(x, EPS)
         wh = np.maximum(model.basis @ coeffs, EPS)
         c = coeffs * (model.basis.T @ (xf / wh))
@@ -170,7 +170,7 @@ def test_update_state_maximizes_frame_objective():
     x = rng.uniform(0.1, 1.5, size=7)
     eta = rng.uniform(0.3, 2.0, size=2)
     coeffs = rng.uniform(0.2, 1.0, size=2)
-    got = update_state(x, model, eta, coeffs=coeffs)
+    got = _em_step(np.maximum(x, EPS), model.basis, eta, coeffs)
 
     xf = np.maximum(x, EPS)
     wh = np.maximum(model.basis @ coeffs, EPS)
@@ -185,19 +185,6 @@ def test_update_state_maximizes_frame_objective():
     assert got.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_update_state_validation():
-    rng = np.random.default_rng(33)
-    model = _random_model(rng, k=5, i=2, order=0)
-    with pytest.raises(ValueError):
-        update_state(np.ones(4), model, np.ones(2))
-    with pytest.raises(ValueError):
-        update_state(np.ones(5), model, np.array([1.0, -1.0]))
-    with pytest.raises(ValueError):
-        update_state(-np.ones(5), model, np.ones(2))
-    with pytest.raises(ValueError):
-        update_state(np.full(5, np.nan), model, np.ones(2))
-
-
 # ---------------------------------------------------------------------------
 # prediction and lag handling
 
@@ -206,10 +193,10 @@ def test_predict_state_hand_values():
     lag = np.array([[0.5, 0.1], [0.2, 0.3]])
     model = DnmfModel(basis=np.eye(2), lags=[lag])
     np.testing.assert_allclose(
-        predict_state(model, [np.array([1.0, 0.0])]), [0.5, 0.2]
+        _predict(model.lags, [np.array([1.0, 0.0])]), [0.5, 0.2]
     )
     # No history yet: the missing lag is an all-ones vector.
-    np.testing.assert_allclose(predict_state(model, []), [0.6, 0.5])
+    np.testing.assert_allclose(_predict(model.lags, []), [0.6, 0.5])
 
 
 def test_predict_state_two_lags_partial_history():
@@ -217,14 +204,8 @@ def test_predict_state_two_lags_partial_history():
     a2 = np.array([[0.0, 0.25], [0.25, 0.0]])
     model = DnmfModel(basis=np.eye(2), lags=[a1, a2])
     # One stored vector: lag 1 sees it, lag 2 falls back to ones.
-    got = predict_state(model, [np.array([0.4, 0.6])])
+    got = _predict(model.lags, [np.array([0.4, 0.6])])
     np.testing.assert_allclose(got, [0.5 * 0.4 + 0.25, 0.5 * 0.6 + 0.25])
-
-
-def test_predict_state_requires_dynamics():
-    model = DnmfModel(basis=np.eye(2), lags=[])
-    with pytest.raises(ValueError):
-        predict_state(model, [])
 
 
 def test_build_lag_matrix_hand_case():
@@ -473,7 +454,7 @@ def test_filter_frame_static_model_matches_single_update():
     got = filter_frame(state, x)
     xn = np.maximum(x, EPS)
     xn = xn / xn.sum()
-    want = update_state(xn, model, np.ones(3), coeffs=np.full(3, 1.0 / 3.0))
+    want = _em_step(xn, model.basis, np.ones(3), np.full(3, 1.0 / 3.0))
     np.testing.assert_array_equal(got, want)
 
 
@@ -512,6 +493,48 @@ def test_filter_frame_validation():
         FilterState(model, anneal=0.0)
     with pytest.raises(ValueError):
         FilterState(model, inner_iters=0)
+
+
+def _filter_loop(state, frames):
+    """Per-frame reference for filter_stream."""
+    return np.stack([filter_frame(state, frames[:, t]) for t in range(frames.shape[1])], axis=1)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("inner_iters", [1, 3])
+def test_filter_stream_matches_frame_loop(order, inner_iters):
+    rng = np.random.default_rng(78)
+    model = _random_model(rng, k=6, i=3, order=order)
+    frames = rng.uniform(0.0, 1.0, size=(6, 11))
+    frames[2, 4] = 0.0
+    got = filter_stream(FilterState(model, anneal=0.3, inner_iters=inner_iters), frames)
+    want = _filter_loop(FilterState(model, anneal=0.3, inner_iters=inner_iters), frames)
+    assert got.shape == (3, 11)
+    assert np.array_equal(got, want)
+
+
+def test_filter_stream_continues_history_across_calls():
+    rng = np.random.default_rng(79)
+    model = _random_model(rng, k=5, i=3, order=2)
+    frames = rng.uniform(0.0, 1.0, size=(5, 10))
+    split = FilterState(model)
+    first = filter_stream(split, frames[:, :4])
+    second = filter_stream(split, frames[:, 4:])
+    whole = filter_stream(FilterState(model), frames)
+    assert np.array_equal(np.hstack([first, second]), whole)
+    assert np.array_equal(whole, _filter_loop(FilterState(model), frames))
+
+
+def test_filter_stream_empty_and_validation():
+    rng = np.random.default_rng(80)
+    model = _random_model(rng, k=5, i=3, order=1)
+    state = FilterState(model)
+    assert filter_stream(state, np.zeros((5, 0))).shape == (3, 0)
+    assert len(state.history) == 0
+    with pytest.raises(ValueError):
+        filter_stream(state, np.ones(5))
+    with pytest.raises(ValueError):
+        filter_stream(state, np.ones((4, 3)))
 
 
 # ---------------------------------------------------------------------------
