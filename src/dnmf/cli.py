@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 
@@ -122,7 +123,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         model,
         args.out,
         train_q=args.q,
-        metadata={"source": args.input, "iters": str(args.iters), "seed": str(args.seed)},
+        metadata={"source": os.path.basename(args.input), "iters": str(args.iters),
+                  "seed": str(args.seed)},
     )
     print(f"model written to {args.out}")
     return 0

@@ -23,6 +23,7 @@ tracking behaviour independent of the signal's loudness.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -173,18 +174,20 @@ def solve_beta(c: Array, eta: Array) -> float:
     root right of the pole at ``-min(1/eta[i])`` (taken over entries with
     ``c[i] > 0``, where ``g`` is strictly decreasing from +inf to 0).
 
-    The root lies in the closed-form bracket ``[pole + c_m, pole + sum(c)]``,
-    with ``c_m`` the count at the smallest ``1/eta``.  Newton's method starts
-    at ``sum(c) - 1``, clamped to the bracket (exact when ``eta`` is all ones;
-    for uniform ``eta`` the root is ``sum(c) - 1/eta``), and falls back to
-    bisection whenever a step would leave the shrinking bracket.
+    When ``eta`` is uniform, ``g(beta) = sum(c) / (beta + 1/eta[0])`` and the
+    root is returned in closed form, ``sum(c) - 1/eta[0]``, before any
+    iteration.  Otherwise the root lies in the closed-form bracket
+    ``[pole + c_m, pole + sum(c)]``, with ``c_m`` the count at the smallest
+    ``1/eta``.  Newton's method starts at ``sum(c) - 1``, clamped to the
+    bracket, and falls back to bisection whenever a step would leave the
+    shrinking bracket.
 
     Parameters
     ----------
     c : np.ndarray
-        Nonnegative weighted counts with positive total.
+        Finite nonnegative weighted counts with positive total.
     eta : np.ndarray
-        Strictly positive prior means, same length.
+        Finite, strictly positive prior means, same length.
 
     Returns
     -------
@@ -195,21 +198,26 @@ def solve_beta(c: Array, eta: Array) -> float:
     eta = np.asarray(eta, dtype=np.float64)
     if c.shape != eta.shape or c.ndim != 1:
         raise ValueError("c and eta must be 1-D arrays of equal length")
-    if np.any(c < 0.0):
-        raise ValueError("counts must be nonnegative")
-    if np.any(eta <= 0.0):
-        raise ValueError("prior means must be strictly positive")
+    if c.size == 0:
+        raise ValueError("counts must have positive total")
     total = float(c.sum())
+    c_min, eta_min, eta_max = c.min(), eta.min(), eta.max()
+    # A NaN or infinite entry makes the total or an extreme of eta non-finite.
+    if not all(map(math.isfinite, (total, eta_min, eta_max))):
+        raise ValueError("counts and prior means must be finite")
+    if c_min < 0.0:
+        raise ValueError("counts must be nonnegative")
+    if eta_min <= 0.0:
+        raise ValueError("prior means must be strictly positive")
     if total <= 0.0:
         raise ValueError("counts must have positive total")
+    if eta_min == eta_max:
+        return total - 1.0 / float(eta[0])
 
-    support = c > 0.0
-    cs = c[support]
-    inv = 1.0 / eta[support]
+    # With every count positive, a full slice skips the mask and its copies.
+    support = slice(None) if c_min > 0.0 else c > 0.0
+    cs, inv = c[support], 1.0 / eta[support]
     pole = float(-inv.min())
-
-    def g(b: float) -> float:
-        return float((cs / (b + inv)).sum())
 
     # Closed-form bracket.  The term with the smallest 1/eta alone gives
     # g(lo) >= c_m / (lo - pole) = 1; every denominator at hi is at least
@@ -220,7 +228,7 @@ def solve_beta(c: Array, eta: Array) -> float:
     resolution = 8.0 * np.finfo(np.float64).eps
     beta = min(max(total - 1.0, lo), hi)
     for _ in range(_BETA_MAX_ITER):
-        val = g(beta)
+        val = float((cs / (beta + inv)).sum())
         if abs(val - 1.0) <= _BETA_TOL:
             return float(beta)
         if val > 1.0:
@@ -464,7 +472,8 @@ def filter_frame(state: FilterState, x: Array) -> Array:
         base = np.ones(model.n_components)
         h = base / base.sum()
     for r in range(1, state.inner_iters + 1):
-        eta = base ** (state.anneal / r)
+        # 1 ** x == 1 exactly, so an order-0 model's prior mean stays base.
+        eta = base ** (state.anneal / r) if model.order >= 1 else base
         h = _em_step(xf, model.basis, eta, h)
     state.history.append(h)
     return h

@@ -174,6 +174,21 @@ def test_train_command_deterministic_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_train_command_bytes_independent_of_input_directory(tmp_path):
+    rng = np.random.default_rng(8)
+    samples = 0.3 * rng.standard_normal(4000)
+    outs = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        wav = str(tmp_path / name / "clip.wav")
+        write_wav(wav, samples, 8000)
+        outs.append(tmp_path / name / "m.json")
+        args = ["train", wav, "--rank", "2", "--order", "1", "--iters", "4", "--m", "2"]
+        assert main(args + ["--fft", "128", "--hop", "64", "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert load_model(str(outs[0]))[2]["source"] == "clip.wav"
+
+
 def _write_separation_fixture(tmp_path):
     """Mixture WAV plus two trained model files on a short chirp pair."""
     sc = SeparationScenario(duration=0.6, rank=6)

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dnmf import statespace
 from dnmf.core import EPS, is_divergence, normalize_columns
+from dnmf.experiments import TrackingScenario, run_tracking
 from dnmf.statespace import (
     _em_step,
     _predict,
@@ -128,7 +130,7 @@ def test_solve_beta_bracket_and_oracle_property(inputs):
     assert pole + c_m - slack <= beta <= pole + total + slack
     assert abs(beta - _bisect_beta(c, eta)) <= 1e-8 * max(abs(beta), scale)
     if np.all(eta == eta[0]):
-        assert abs(beta - (total - 1.0 / eta[0])) <= 1e-8 * scale
+        assert beta == total - 1.0 / eta[0]
     h = _simplex_update(c, eta)
     assert np.all(h >= 0.0)
     assert abs(h.sum() - 1.0) <= 1e-12
@@ -144,6 +146,63 @@ def test_solve_beta_validation():
         solve_beta(ones, np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         solve_beta(ones, np.ones(3))
+    with pytest.raises(ValueError, match="positive total"):
+        solve_beta(np.zeros(0), np.zeros(0))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            solve_beta(np.array([1.0, bad]), ones)
+        with pytest.raises(ValueError):
+            solve_beta(ones, np.array([1.0, bad]))
+        with pytest.raises(ValueError):
+            solve_beta(np.array([1.0, bad]), np.array([1.0, 2.0]))
+
+
+def _solve_beta_newton(c, eta):
+    """The Newton normalizer as it was before the closed-form uniform path."""
+    c = np.asarray(c, dtype=np.float64)
+    eta = np.asarray(eta, dtype=np.float64)
+    total = float(c.sum())
+    support = c > 0.0
+    cs = c[support]
+    inv = 1.0 / eta[support]
+    pole = float(-inv.min())
+
+    def g(b):
+        return float((cs / (b + inv)).sum())
+
+    lo = pole + float(cs[np.argmin(inv)])
+    hi = pole + total
+    resolution = 8.0 * np.finfo(np.float64).eps
+    beta = min(max(total - 1.0, lo), hi)
+    for _ in range(200):
+        val = g(beta)
+        if abs(val - 1.0) <= 1e-12:
+            return float(beta)
+        if val > 1.0:
+            lo = max(lo, beta)
+        else:
+            hi = min(hi, beta)
+        if hi - lo <= resolution * max(1.0, abs(lo), abs(hi)):
+            return float(0.5 * (lo + hi))
+        deriv = float(-(cs / (beta + inv) ** 2).sum())
+        cand = beta - (val - 1.0) / deriv
+        if not lo < cand < hi:
+            cand = 0.5 * (lo + hi)
+        beta = cand
+    raise AssertionError("reference normalizer did not converge")
+
+
+def test_solve_beta_matches_newton_reference():
+    # Non-uniform priors keep the Newton path bit for bit, with and without
+    # zero counts.
+    rng = np.random.default_rng(22)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        c = rng.uniform(0.0, 2.0, size=n)
+        c[rng.uniform(size=n) < 0.3] = 0.0
+        c[rng.integers(n)] = 0.7
+        eta = rng.uniform(1e-2, 1e2, size=n)
+        assert solve_beta(c, eta) == _solve_beta_newton(c, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +569,41 @@ def test_filter_stream_matches_frame_loop(order, inner_iters):
     got = filter_stream(FilterState(model, anneal=0.3, inner_iters=inner_iters), frames)
     want = _filter_loop(FilterState(model, anneal=0.3, inner_iters=inner_iters), frames)
     assert got.shape == (3, 11)
+    assert np.array_equal(got, want)
+
+
+def _filter_static_reference(model, frames, anneal, inner_iters):
+    """Order-0 filtering as it was: prior mean ones ** (anneal / r)."""
+    ones = np.ones(model.n_components)
+    out = np.empty((model.n_components, frames.shape[1]))
+    for t in range(frames.shape[1]):
+        xf = np.maximum(frames[:, t], EPS)
+        xf = xf / xf.sum()
+        h = ones / ones.sum()
+        for r in range(1, inner_iters + 1):
+            h = _em_step(xf, model.basis, ones ** (anneal / r), h)
+        out[:, t] = h
+    return out
+
+
+@pytest.mark.parametrize("inner_iters", [1, 50])
+def test_filter_stream_static_matches_newton_path(inner_iters, monkeypatch):
+    rng = np.random.default_rng(82)
+    model = _random_model(rng, k=9, i=5, order=0)
+    frames = rng.uniform(0.0, 1.0, size=(9, 20))
+    frames[3, 7] = 0.0
+    got = filter_stream(FilterState(model, anneal=0.25, inner_iters=inner_iters), frames)
+    monkeypatch.setattr(statespace, "solve_beta", _solve_beta_newton)
+    want = _filter_static_reference(model, frames, 0.25, inner_iters)
+    assert np.array_equal(got, want)
+
+
+def test_run_tracking_matches_newton_path(monkeypatch):
+    sc = TrackingScenario(n_frames=60, peak_frame=30, snr_grid=(-10.0, 5.0), runs=2)
+    got = [row.value for row in run_tracking(sc, seed=4).rows]
+    monkeypatch.setattr(statespace, "solve_beta", _solve_beta_newton)
+    want = [row.value for row in run_tracking(sc, seed=4).rows]
+    assert len(got) == 8
     assert np.array_equal(got, want)
 
 
