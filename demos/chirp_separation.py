@@ -13,7 +13,6 @@ buy over the static baseline, and writes the separated audio to disk.
 import os
 
 from dnmf import (
-    Spectrogram,
     TrainConfig,
     istft,
     mix_at_snr,
@@ -52,21 +51,21 @@ print(f"\ndynamic-vs-static gap: {max(dyn_means) - static_mean:+.2f} dB at the "
 s1, s2 = gen_chirp_pair(scenario)
 mixture = mix_at_snr(s1, s2, scenario.mix_snr_db)
 sr, nfft, hop = scenario.sample_rate, scenario.fft_size, scenario.hop
-mix_spec = stft(mixture, nfft, hop, sr)
+mix_spec = stft(mixture, nfft, hop)
 models = []
 for src, ref in ((1, s1), (2, mixture - s1)):
-    mag = stft(ref, nfft, hop, sr).magnitude
+    mag = np.abs(stft(ref, nfft, hop))
     model, _ = train(mag, scenario.rank, 1, TrainConfig(seed=src * 9973))
     models.append(model)
-est1, est2 = separate_sources(mix_spec, models[0], models[1], scenario.anneal)
+est1, est2 = separate_sources(np.abs(mix_spec), models[0], models[1], scenario.anneal)
 
 out_dir = "separated"
 os.makedirs(out_dir, exist_ok=True)
-phase = np.exp(1j * mix_spec.phase)
+phase = np.exp(1j * np.angle(mix_spec))
 peak = np.abs(mixture).max()
 write_wav(os.path.join(out_dir, "mixture.wav"), mixture / (2 * peak), sr)
 for name, est, ref in (("source1", est1, s1), ("source2", est2, mixture - s1)):
-    y = istft(Spectrogram(est * phase, nfft, hop, sr))
+    y = istft(est * phase, hop)
     n = min(y.shape[0], ref.shape[0])
     snr = output_snr(ref[:n], y[:n])
     path = os.path.join(out_dir, f"{name}.wav")

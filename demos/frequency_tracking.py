@@ -31,7 +31,7 @@ n_bins = scenario.fft_size // 2 + 1
 # data.
 rng = np.random.default_rng(123)
 noisy = mix_at_snr(signal, rng.standard_normal(signal.shape[0]), -10.0)
-mag = stft(noisy, scenario.fft_size, scenario.hop, scenario.sample_rate).magnitude
+mag = np.abs(stft(noisy, scenario.fft_size, scenario.hop))
 
 static = FilterState(DnmfModel(basis=np.eye(n_bins), lags=[]), inner_iters=50)
 dynamic = FilterState(tracking_model(n_bins), anneal=0.25, inner_iters=1)

@@ -7,7 +7,6 @@ causal per-frame filtering with annealed predictions.
 """
 from .core import EPS, is_divergence, nonneg_matrix, normalize_columns, stochastic_matrix
 from .dsp import (
-    Spectrogram,
     input_snr,
     istft,
     mix_at_snr,
@@ -62,7 +61,6 @@ __all__ = [
     "filter_stream",
     "map_objective",
     "concat_models",
-    "Spectrogram",
     "stft",
     "istft",
     "wiener_reconstruct",

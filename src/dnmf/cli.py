@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .core import EPS, is_divergence
-from .dsp import Spectrogram, istft, stft
+from .dsp import istft, stft
 from .experiments import (
     SeparationScenario,
     TrackingScenario,
@@ -68,8 +68,11 @@ def load_model(path: str) -> tuple[DnmfModel, float, dict]:
     renormalized away with a warning.  Any malformed document raises
     ``ValueError`` naming the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: model document must be a JSON object")
     if doc.get("format_version") != FORMAT_VERSION:
@@ -103,8 +106,8 @@ def _load_training_matrix(path: str, fft_size: int, hop: int) -> np.ndarray:
         if mat.size == 0:
             raise ValueError(f"{path}: empty matrix")
         return mat
-    samples, rate = read_wav(path)
-    return stft(samples, fft_size, hop, rate).magnitude
+    samples, _ = read_wav(path)
+    return np.abs(stft(samples, fft_size, hop))
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -148,21 +151,23 @@ def _separate_pipeline(
             "to a power-of-two FFT"
         )
     hop = hop if hop is not None else fft_size // 4
+    if hop < 1:
+        raise ValueError("hop must be positive")
     n = samples.shape[0]
     tail = (fft_size - n) % hop
     if n >= fft_size and tail:
         # Zero-pad so the last frame ends on the final sample or after it;
         # the outputs are trimmed back to n.  Shorter inputs stay an error.
         samples = np.pad(samples, (0, tail))
-    spec = stft(samples, fft_size, hop, rate)
+    spec = stft(samples, fft_size, hop)
     est_a, est_b = separate_sources(
-        spec, model_a, model_b, anneal=q, inner_iters=inner_iters
+        np.abs(spec), model_a, model_b, anneal=q, inner_iters=inner_iters
     )
-    phase = np.exp(1j * spec.phase)
+    phase = np.exp(1j * np.angle(spec))
     # Free the complex spectrogram before resynthesis, where peak memory is.
     del spec
-    out_a = istft(Spectrogram(est_a * phase, fft_size, hop, rate))
-    out_b = istft(Spectrogram(est_b * phase, fft_size, hop, rate))
+    out_a = istft(est_a * phase, hop)
+    out_b = istft(est_b * phase, hop)
     return out_a[:n], out_b[:n], rate
 
 
@@ -210,7 +215,7 @@ def cmd_track(args: argparse.Namespace) -> int:
     samples, rate = read_wav(args.input)
     if rate != 8000:
         raise ValueError(f"{args.input}: tracking expects 8000 Hz, got {rate}")
-    mag = stft(samples, 128, 128, rate).magnitude
+    mag = np.abs(stft(samples, 128, 128))
     state = FilterState(tracking_model(), anneal=args.q, inner_iters=args.inner_iters)
     omega = track_frequency(filter_stream(state, mag), 128)
     rows = np.column_stack((np.arange(omega.size), omega))

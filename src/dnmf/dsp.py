@@ -1,14 +1,11 @@
 """Short-time Fourier analysis, mask-based reconstruction, and SNR helpers."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import EPS, Array
 
 __all__ = [
-    "Spectrogram",
     "stft",
     "istft",
     "wiener_reconstruct",
@@ -25,49 +22,7 @@ def _hann(n: int) -> Array:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-@dataclass
-class Spectrogram:
-    """Complex half-spectrum frames plus the parameters that produced them.
-
-    ``frames`` has shape (n_bins, n_frames) with
-    ``n_bins == fft_size // 2 + 1``.
-    """
-
-    frames: Array
-    fft_size: int
-    hop: int
-    sample_rate: int
-
-    def __post_init__(self) -> None:
-        self.frames = np.asarray(self.frames)
-        if self.frames.ndim != 2:
-            raise ValueError("frames must be 2-D (bins x frames)")
-        if self.frames.shape[0] != self.fft_size // 2 + 1:
-            raise ValueError(
-                f"bin count {self.frames.shape[0]} does not match "
-                f"fft_size {self.fft_size} (expected {self.fft_size // 2 + 1})"
-            )
-        if self.hop < 1:
-            raise ValueError("hop must be positive")
-
-    @property
-    def n_bins(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[1]
-
-    @property
-    def magnitude(self) -> Array:
-        return np.abs(self.frames)
-
-    @property
-    def phase(self) -> Array:
-        return np.angle(self.frames)
-
-
-def stft(signal: Array, fft_size: int, hop: int, sample_rate: int) -> Spectrogram:
+def stft(signal: Array, fft_size: int, hop: int) -> Array:
     """Hann-windowed short-time Fourier transform, half spectrum kept.
 
     Frames start at multiples of ``hop``; there is no padding, so the number
@@ -81,12 +36,10 @@ def stft(signal: Array, fft_size: int, hop: int, sample_rate: int) -> Spectrogra
         Window/FFT length, a power of two.
     hop : int
         Frame advance in samples.
-    sample_rate : int
-        Carried through for bookkeeping.
 
     Returns
     -------
-    Spectrogram
+    np.ndarray
         Complex frames of shape (fft_size // 2 + 1, n_frames).
     """
     signal = np.asarray(signal, dtype=np.float64)
@@ -101,15 +54,16 @@ def stft(signal: Array, fft_size: int, hop: int, sample_rate: int) -> Spectrogra
             f"signal length {signal.shape[0]} shorter than fft_size {fft_size}"
         )
     segments = np.lib.stride_tricks.sliding_window_view(signal, fft_size)[::hop]
-    frames = np.fft.rfft(segments * _hann(fft_size), axis=1)
-    return Spectrogram(frames.T, fft_size, hop, sample_rate)
+    return np.fft.rfft(segments * _hann(fft_size), axis=1).T
 
 
-def istft(spec: Spectrogram) -> Array:
+def istft(frames: Array, hop: int) -> Array:
     """Overlap-add inverse with a matching Hann synthesis window.
 
-    Each inverse frame is windowed again, accumulated at its original offset,
-    and the result is divided samplewise by the summed squared window.
+    ``frames`` is a complex (n_bins, n_frames) half spectrum as returned by
+    :func:`stft`; the FFT size is ``2 * (n_bins - 1)``, which must be a power
+    of two.  Each inverse frame is windowed again, accumulated at its original
+    offset, and the result is divided samplewise by the summed squared window.
     Every sample whose summed squared window falls below 1e-8 is set to zero.
     The periodic Hann window is zero at its first sample and tiny near both
     ends, so at any hop this zeroes the first and last samples of the output
@@ -117,15 +71,26 @@ def istft(spec: Spectrogram) -> Array:
     256 or less), and at hops near ``fft_size`` also frame edges inside it.
     Output length is ``fft_size + (n_frames - 1) * hop``.
     """
-    window = _hann(spec.fft_size)
-    length = spec.fft_size + (spec.n_frames - 1) * spec.hop
+    frames = np.asarray(frames)
+    if frames.ndim != 2:
+        raise ValueError("frames must be 2-D (bins x frames)")
+    half = frames.shape[0] - 1
+    if half < 1 or half & (half - 1):
+        raise ValueError(
+            f"bin count {frames.shape[0]} is not a power of two plus one"
+        )
+    if hop < 1:
+        raise ValueError("hop must be positive")
+    fft_size = 2 * half
+    window = _hann(fft_size)
+    length = fft_size + (frames.shape[1] - 1) * hop
     out = np.zeros(length)
     wsum = np.zeros(length)
-    for t in range(spec.n_frames):
-        start = t * spec.hop
-        frame = np.fft.irfft(spec.frames[:, t], n=spec.fft_size)
-        out[start : start + spec.fft_size] += frame * window
-        wsum[start : start + spec.fft_size] += window * window
+    for t in range(frames.shape[1]):
+        start = t * hop
+        frame = np.fft.irfft(frames[:, t], n=fft_size)
+        out[start : start + fft_size] += frame * window
+        wsum[start : start + fft_size] += window * window
     good = wsum >= _WINSUM_CUTOFF
     out[good] /= wsum[good]
     out[~good] = 0.0

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Array
-from .dsp import Spectrogram, istft, mix_at_snr, output_snr, stft, wiener_reconstruct
+from .dsp import istft, mix_at_snr, output_snr, stft, wiener_reconstruct
 from .statespace import DnmfModel, FilterState, TrainConfig, concat_models, filter_stream, train
 
 __all__ = [
@@ -47,7 +47,6 @@ class TrackingScenario:
     (1-based) out of ``n_frames`` non-overlapping analysis frames.
     """
 
-    sample_rate: int = 8000
     fft_size: int = 128
     hop: int = 128
     freq_lo: float = 0.24
@@ -207,9 +206,7 @@ def run_tracking(scenario: TrackingScenario, seed: int = 0) -> ExperimentReport:
             rseed = _run_seed(seed, si, run)
             rng = np.random.default_rng(rseed)
             noisy = mix_at_snr(signal, rng.standard_normal(signal.shape[0]), snr)
-            mag = stft(
-                noisy, scenario.fft_size, scenario.hop, scenario.sample_rate
-            ).magnitude
+            mag = np.abs(stft(noisy, scenario.fft_size, scenario.hop))
             for method, model, inner in (
                 ("static", static, _STATIC_INNER),
                 ("dnmf", dynamic, _DNMF_INNER),
@@ -241,20 +238,20 @@ def gen_chirp_pair(scenario: SeparationScenario) -> tuple[Array, Array]:
 
 
 def separate_sources(
-    mix_spec: Spectrogram,
+    mag: Array,
     model1: DnmfModel,
     model2: DnmfModel,
     anneal: float = 0.1,
     inner_iters: int = 1,
 ) -> tuple[Array, Array]:
-    """Filter a mixture with two concatenated models and split by soft masks.
+    """Filter the (bins, frames) mixture magnitude ``mag`` with two
+    concatenated models and split it by soft masks.
 
-    Returns the two magnitude estimates (same shape as the mixture
-    magnitude); they sum to it exactly.
+    Returns the two magnitude estimates (same shape as ``mag``); they sum to
+    it exactly.
     """
     model = concat_models(model1, model2)
     state = FilterState(model, anneal=anneal, inner_iters=inner_iters)
-    mag = mix_spec.magnitude
     h = filter_stream(state, mag)
     n1 = model1.n_components
     return wiener_reconstruct(mag, model1.basis @ h[:n1], model2.basis @ h[n1:])
@@ -274,11 +271,11 @@ def run_separation(scenario: SeparationScenario, seed: int = 0) -> ExperimentRep
     s1, s2 = gen_chirp_pair(scenario)
     mixture = mix_at_snr(s1, s2, scenario.mix_snr_db)
     s2ref = mixture - s1
-    sr, nfft, hop = scenario.sample_rate, scenario.fft_size, scenario.hop
-    mix_spec = stft(mixture, nfft, hop, sr)
-    mag1 = stft(s1, nfft, hop, sr).magnitude
-    mag2 = stft(s2ref, nfft, hop, sr).magnitude
-    phase = np.exp(1j * mix_spec.phase)
+    nfft, hop = scenario.fft_size, scenario.hop
+    mix_spec = stft(mixture, nfft, hop)
+    mix_mag, phase = np.abs(mix_spec), np.exp(1j * np.angle(mix_spec))
+    mag1 = np.abs(stft(s1, nfft, hop))
+    mag2 = np.abs(stft(s2ref, nfft, hop))
 
     report = ExperimentReport()
     for order in scenario.orders:
@@ -289,14 +286,14 @@ def run_separation(scenario: SeparationScenario, seed: int = 0) -> ExperimentRep
             models.append(model)
         method = "dnmf" if order >= 1 else "static"
         est1, est2 = separate_sources(
-            mix_spec,
+            mix_mag,
             models[0],
             models[1],
             scenario.anneal,
             _DNMF_INNER if order >= 1 else _STATIC_INNER,
         )
         for tag, est, ref in (("source1", est1, s1), ("source2", est2, s2ref)):
-            y = istft(Spectrogram(est * phase, nfft, hop, sr))
+            y = istft(est * phase, hop)
             # The frame grid may not cover the last few samples; score the
             # span both signals share.
             n = min(y.shape[0], ref.shape[0])

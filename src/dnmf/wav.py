@@ -15,10 +15,16 @@ SUPPORTED_RATES = (8000, 16000)
 def read_wav(path: str) -> tuple[Array, int]:
     """Load a mono 16-bit PCM WAV file as float64 samples in [-1, 1).
 
-    Raises ValueError for unsupported encodings (bit depth other than 16,
-    more than one channel, sample rate outside SUPPORTED_RATES).
+    Raises ValueError naming the file for a malformed header and for
+    unsupported encodings (bit depth other than 16, more than one channel,
+    sample rate outside SUPPORTED_RATES).
     """
-    with wave.open(path, "rb") as fh:
+    try:
+        fh = wave.open(path, "rb")
+    except (EOFError, RuntimeError, wave.Error) as exc:
+        # How the stdlib reader reports an empty, truncated or non-WAVE file.
+        raise ValueError(f"{path}: malformed WAV file ({exc!r})") from None
+    with fh:
         if fh.getcomptype() != "NONE":
             raise ValueError(f"{path}: compressed WAV not supported")
         if fh.getsampwidth() != 2:
@@ -34,6 +40,8 @@ def read_wav(path: str) -> tuple[Array, int]:
                 f"{path}: sample rate {rate} not in {SUPPORTED_RATES}"
             )
         raw = fh.readframes(fh.getnframes())
+    if len(raw) % 2:
+        raise ValueError(f"{path}: data chunk ends inside a sample")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return samples, rate
 

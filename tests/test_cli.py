@@ -1,12 +1,14 @@
 import json
 import re
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dnmf.cli import load_model, main, save_model
 from dnmf.core import normalize_columns
-from dnmf.dsp import Spectrogram, istft, mix_at_snr, stft
+from dnmf.dsp import istft, mix_at_snr, stft
 from dnmf.experiments import SeparationScenario, gen_chirp_pair
 from dnmf.statespace import FilterState, TrainConfig, filter_frame, train
 from dnmf.wav import read_wav, write_wav
@@ -52,7 +54,7 @@ def test_load_model_rejects_bad_documents(tmp_path):
     model = _small_model(rng)
     path = str(tmp_path / "m.json")
     save_model(model, path, train_q=0.15)
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
 
     bad = dict(doc, format_version=99)
     p = tmp_path / "v.json"
@@ -86,6 +88,12 @@ def test_load_model_rejects_bad_documents(tmp_path):
         p.write_text(json.dumps(bad))
         with pytest.raises(ValueError, match=re.escape(str(p))):
             load_model(str(p))
+    # Bytes that are not JSON, and bytes that are not UTF-8.
+    for name, raw in (("trunc", b'{"format_version": 1, "K'), ("latin1", b'{"\xe9": 1}')):
+        p = tmp_path / f"{name}.json"
+        p.write_bytes(raw)
+        with pytest.raises(ValueError, match=re.escape(str(p))):
+            load_model(str(p))
 
     # Through the CLI the same documents are input errors: exit code 2.
     mix = str(tmp_path / "mix.wav")
@@ -113,7 +121,7 @@ def test_load_model_renormalizes_small_drift(tmp_path):
     model = _small_model(rng)
     path = str(tmp_path / "m.json")
     save_model(model, path, train_q=0.15)
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     w = np.asarray(doc["W"])
     w[0][0] += 5e-8
     (tmp_path / "drift.json").write_text(json.dumps(dict(doc, W=w.tolist())))
@@ -201,7 +209,7 @@ def _write_separation_fixture(tmp_path):
     cfg = TrainConfig(iters=25, prior_start=15, seed=0)
     paths = []
     for name, sig in (("a", s1), ("b", s2)):
-        mag = stft(sig, sc.fft_size, sc.hop, sc.sample_rate).magnitude
+        mag = np.abs(stft(sig, sc.fft_size, sc.hop))
         model, _ = train(mag, sc.rank, 1, cfg)
         path = str(tmp_path / f"{name}.json")
         save_model(model, path, train_q=0.1)
@@ -231,13 +239,9 @@ def test_separate_command_outputs_partition_mixture(tmp_path):
     assert code == 0
 
     # The two estimates must rebuild the mixture-magnitude resynthesis.
-    mix, rate = read_wav(mix_path)
-    spec = stft(mix, sc.fft_size, sc.hop, rate)
-    ref = istft(
-        Spectrogram(
-            spec.magnitude * np.exp(1j * spec.phase), sc.fft_size, sc.hop, rate
-        )
-    )
+    mix, _ = read_wav(mix_path)
+    spec = stft(mix, sc.fft_size, sc.hop)
+    ref = istft(np.abs(spec) * np.exp(1j * np.angle(spec)), sc.hop)
     y1, _ = read_wav(out1)
     y2, _ = read_wav(out2)
     total = y1 + y2
@@ -396,3 +400,47 @@ def test_missing_input_exits_with_usage_error(tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+_RIFF = b"RIFF" + struct.pack("<I", 100)
+_FMT = b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 8000, 16000, 2, 16)  # 8 kHz mono PCM16
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"",  # zero bytes
+        _RIFF + b"WAVEfmt " + struct.pack("<I", 16) + b"\x01\x00",  # truncated fmt chunk
+        _RIFF + b"AVI LIST",  # RIFF, but not WAVE
+        _RIFF + b"WAVE" + b"\xff" * 16,  # RIFF header followed by junk
+        # A 16-byte data chunk cut off one byte into its second sample.
+        _RIFF + b"WAVE" + _FMT + b"data" + struct.pack("<I", 16) + b"\x00" * 3,
+    ],
+    ids=["empty", "truncated-fmt", "not-wave", "junk", "odd-data"],
+)
+def test_train_rejects_malformed_wav(tmp_path, capsys, raw):
+    wav = tmp_path / "bad.wav"
+    wav.write_bytes(raw)
+    code = main(["train", str(wav), "--rank", "2", "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and str(wav) in err[0]
+
+
+@pytest.mark.parametrize("command", ["separate", "denoise"])
+def test_zero_hop_is_a_usage_error(tmp_path, capsys, command):
+    rng = np.random.default_rng(10)
+    model = str(tmp_path / "m.json")
+    save_model(_small_model(rng, k=9), model, train_q=0.1)  # fft size 16
+    mix = str(tmp_path / "mix.wav")
+    write_wav(mix, 0.1 * rng.standard_normal(100), 8000)
+    out = [str(tmp_path / f"o{i}.wav") for i in range(2)]
+    if command == "separate":
+        args = ["separate", "--mixture", mix, "--model1", model, "--model2", model,
+                "--out1", out[0], "--out2", out[1]]
+    else:
+        args = ["denoise", "--input", mix, "--speech-model", model,
+                "--noise-model", model, "--out", out[0]]
+    assert main(args + ["--hop", "0"]) == 2
+    assert "hop must be positive" in capsys.readouterr().err

@@ -82,21 +82,20 @@ def test_separate_sources_outputs_partition_mixture():
     sc = SeparationScenario(duration=0.3, rank=6)
     s1, s2 = gen_chirp_pair(sc)
     mix = mix_at_snr(s1, s2, 0.0)
-    spec = stft(mix, sc.fft_size, sc.hop, sc.sample_rate)
+    mag = np.abs(stft(mix, sc.fft_size, sc.hop))
     cfg = TrainConfig(iters=20, prior_start=10, seed=0)
-    m1, _ = train(stft(s1, sc.fft_size, sc.hop, sc.sample_rate).magnitude, 6, 1, cfg)
-    m2, _ = train(stft(s2, sc.fft_size, sc.hop, sc.sample_rate).magnitude, 6, 1, cfg)
-    e1, e2 = separate_sources(spec, m1, m2)
-    assert e1.shape == spec.magnitude.shape
-    np.testing.assert_allclose(e1 + e2, spec.magnitude, rtol=0.0, atol=1e-12)
+    m1, _ = train(np.abs(stft(s1, sc.fft_size, sc.hop)), 6, 1, cfg)
+    m2, _ = train(np.abs(stft(s2, sc.fft_size, sc.hop)), 6, 1, cfg)
+    e1, e2 = separate_sources(mag, m1, m2)
+    assert e1.shape == mag.shape
+    np.testing.assert_allclose(e1 + e2, mag, rtol=0.0, atol=1e-12)
     assert np.all(e1 >= 0.0)
     assert np.all(e2 >= 0.0)
 
 
-def _separate_per_frame(mix_spec, model1, model2, anneal=0.1, inner_iters=1):
+def _separate_per_frame(mag, model1, model2, anneal=0.1, inner_iters=1):
     """Per-frame reference for separate_sources: one Wiener split per frame."""
     state = FilterState(concat_models(model1, model2), anneal=anneal, inner_iters=inner_iters)
-    mag = mix_spec.magnitude
     n1 = model1.n_components
     est1 = np.empty_like(mag)
     est2 = np.empty_like(mag)
@@ -112,12 +111,12 @@ def _separate_per_frame(mix_spec, model1, model2, anneal=0.1, inner_iters=1):
 def test_separate_sources_matches_per_frame_reference(order, inner_iters):
     sc = SeparationScenario(duration=0.3, rank=5)
     s1, s2 = gen_chirp_pair(sc)
-    spec = stft(mix_at_snr(s1, s2, 0.0), sc.fft_size, sc.hop, sc.sample_rate)
+    mag = np.abs(stft(mix_at_snr(s1, s2, 0.0), sc.fft_size, sc.hop))
     cfg = TrainConfig(iters=12, prior_start=6, seed=1)
-    m1, _ = train(stft(s1, sc.fft_size, sc.hop, sc.sample_rate).magnitude, 5, order, cfg)
-    m2, _ = train(stft(s2, sc.fft_size, sc.hop, sc.sample_rate).magnitude, 5, order, cfg)
-    got = separate_sources(spec, m1, m2, 0.2, inner_iters)
-    want = _separate_per_frame(spec, m1, m2, 0.2, inner_iters)
+    m1, _ = train(np.abs(stft(s1, sc.fft_size, sc.hop)), 5, order, cfg)
+    m2, _ = train(np.abs(stft(s2, sc.fft_size, sc.hop)), 5, order, cfg)
+    got = separate_sources(mag, m1, m2, 0.2, inner_iters)
+    want = _separate_per_frame(mag, m1, m2, 0.2, inner_iters)
     # One matrix product per source rounds differently from per-column ones.
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-12)
