@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .core import EPS, is_divergence
-from .dsp import istft, stft
+from .dsp import _unit_phase, istft, stft
 from .experiments import (
     SeparationScenario,
     TrackingScenario,
@@ -150,7 +150,7 @@ def _separate_pipeline(
             f"model spectrum size {model_a.n_features} does not correspond "
             "to a power-of-two FFT"
         )
-    hop = hop if hop is not None else fft_size // 4
+    hop = hop if hop is not None else max(1, fft_size // 4)
     if hop < 1:
         raise ValueError("hop must be positive")
     n = samples.shape[0]
@@ -160,14 +160,22 @@ def _separate_pipeline(
         # the outputs are trimmed back to n.  Shorter inputs stay an error.
         samples = np.pad(samples, (0, tail))
     spec = stft(samples, fft_size, hop)
+    del samples
+    mag = np.abs(spec)
     est_a, est_b = separate_sources(
-        np.abs(spec), model_a, model_b, anneal=q, inner_iters=inner_iters
+        mag, model_a, model_b, anneal=q, inner_iters=inner_iters
     )
-    phase = np.exp(1j * np.angle(spec))
-    # Free the complex spectrogram before resynthesis, where peak memory is.
-    del spec
-    out_a = istft(est_a * phase, hop)
-    out_b = istft(est_b * phase, hop)
+    # The phase overwrites the spectrogram, and each array is dropped once
+    # used, so resynthesis holds at most two complex spectrograms.
+    phase = _unit_phase(spec, mag)
+    del spec, mag
+    frames = est_a * phase
+    del est_a
+    out_a = istft(frames, hop)
+    del frames
+    phase *= est_b
+    del est_b
+    out_b = istft(phase, hop)
     return out_a[:n], out_b[:n], rate
 
 
@@ -251,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model1", required=True)
     p.add_argument("--model2", required=True)
     p.add_argument("--q", type=float, default=0.1, help="annealing exponent")
-    p.add_argument("--hop", type=int, default=None, help="default: fft/4")
+    p.add_argument("--hop", type=int, default=None, help="default: fft/4, at least 1")
     p.add_argument("--inner-iters", type=int, default=1)
     p.add_argument("--out1", required=True)
     p.add_argument("--out2", required=True)
@@ -262,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--speech-model", required=True)
     p.add_argument("--noise-model", required=True)
     p.add_argument("--q", type=float, default=0.3, help="annealing exponent")
-    p.add_argument("--hop", type=int, default=None, help="default: fft/4")
+    p.add_argument("--hop", type=int, default=None, help="default: fft/4, at least 1")
     p.add_argument("--inner-iters", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_denoise)

@@ -15,6 +15,8 @@ __all__ = [
 ]
 
 _WINSUM_CUTOFF = 1e-8
+# Frames per bulk FFT in stft and istft.
+_BLOCK = 128
 
 
 def _hann(n: int) -> Array:
@@ -26,7 +28,9 @@ def stft(signal: Array, fft_size: int, hop: int) -> Array:
     """Hann-windowed short-time Fourier transform, half spectrum kept.
 
     Frames start at multiples of ``hop``; there is no padding, so the number
-    of frames is ``(len(signal) - fft_size) // hop + 1``.
+    of frames is ``(len(signal) - fft_size) // hop + 1``.  Frames are
+    windowed and transformed 128 at a time into one preallocated output,
+    bit-identical to transforming them one by one.
 
     Parameters
     ----------
@@ -54,7 +58,11 @@ def stft(signal: Array, fft_size: int, hop: int) -> Array:
             f"signal length {signal.shape[0]} shorter than fft_size {fft_size}"
         )
     segments = np.lib.stride_tricks.sliding_window_view(signal, fft_size)[::hop]
-    return np.fft.rfft(segments * _hann(fft_size), axis=1).T
+    window = _hann(fft_size)
+    out = np.empty((segments.shape[0], fft_size // 2 + 1), dtype=np.complex128)
+    for b in range(0, segments.shape[0], _BLOCK):
+        out[b : b + _BLOCK] = np.fft.rfft(segments[b : b + _BLOCK] * window, axis=1)
+    return out.T
 
 
 def istft(frames: Array, hop: int) -> Array:
@@ -70,6 +78,12 @@ def istft(frames: Array, hop: int) -> Array:
     (samples 0-3 and the last three at ``fft_size`` 1024, sample 0 alone at
     256 or less), and at hops near ``fft_size`` also frame edges inside it.
     Output length is ``fft_size + (n_frames - 1) * hop``.
+
+    The inverse transforms run in blocks of 128 frames, and each block is
+    added as ``ceil(fft_size / hop)`` hop-wide slabs, last slab first, so
+    that every sample sums its frames in frame order.  The output is
+    therefore bit-identical to a loop that inverts and adds one frame at a
+    time, while no temporary larger than one block is made.
     """
     frames = np.asarray(frames)
     if frames.ndim != 2:
@@ -79,20 +93,36 @@ def istft(frames: Array, hop: int) -> Array:
         raise ValueError(
             f"bin count {frames.shape[0]} is not a power of two plus one"
         )
+    if frames.shape[1] < 1:
+        raise ValueError("frames must hold at least one frame")
     if hop < 1:
         raise ValueError("hop must be positive")
     fft_size = 2 * half
+    n_frames = frames.shape[1]
     window = _hann(fft_size)
-    length = fft_size + (frames.shape[1] - 1) * hop
-    out = np.zeros(length)
-    wsum = np.zeros(length)
-    for t in range(frames.shape[1]):
-        start = t * hop
-        frame = np.fft.irfft(frames[:, t], n=fft_size)
-        out[start : start + fft_size] += frame * window
-        wsum[start : start + fft_size] += window * window
+    wsq = window * window
+    # Row r of the (rows, hop) views holds samples r*hop .. r*hop + hop - 1,
+    # and slab k (frame samples k*hop onwards) of frame t lands in row t + k.
+    n_slabs = -(-fft_size // hop)
+    slabs = [
+        (k, k * hop, min(hop, fft_size - k * hop)) for k in reversed(range(n_slabs))
+    ]
+    rows = n_frames - 1 + n_slabs
+    out = np.zeros(rows * hop)
+    wsum = np.zeros(rows * hop)
+    out_rows, wsum_rows = out.reshape(rows, hop), wsum.reshape(rows, hop)
+    for k, lo, width in slabs:
+        wsum_rows[k : k + n_frames, :width] += wsq[lo : lo + width]
+    for b in range(0, n_frames, _BLOCK):
+        block = np.fft.irfft(frames[:, b : b + _BLOCK], n=fft_size, axis=0).T
+        block *= window
+        for k, lo, width in slabs:
+            dest = out_rows[b + k : b + k + block.shape[0], :width]
+            dest += block[:, lo : lo + width]
+    length = fft_size + (n_frames - 1) * hop
+    out, wsum = out[:length], wsum[:length]
     good = wsum >= _WINSUM_CUTOFF
-    out[good] /= wsum[good]
+    np.divide(out, wsum, out=out, where=good)
     out[~good] = 0.0
     return out
 
@@ -103,11 +133,13 @@ def wiener_reconstruct(mix_mag: Array, est1: Array, est2: Array) -> tuple[Array,
     The first output is ``mix_mag * est1 / (est1 + est2)`` (denominator
     floored at ``EPS``); the second is the remainder ``mix_mag - first``, so
     the two sum back to the mixture to within one float64 rounding step.
+    The mask is built in the first output's buffer, with no other temporary.
 
     Parameters
     ----------
     mix_mag, est1, est2 : np.ndarray
-        Nonnegative arrays of identical shape (vectors or full spectrograms).
+        Nonnegative arrays of identical shape (vectors or full spectrograms);
+        a negative or NaN entry raises ``ValueError``.
 
     Returns
     -------
@@ -119,11 +151,25 @@ def wiener_reconstruct(mix_mag: Array, est1: Array, est2: Array) -> tuple[Array,
     est2 = np.asarray(est2, dtype=np.float64)
     if not (mix_mag.shape == est1.shape == est2.shape):
         raise ValueError("all inputs must share one shape")
-    if np.any(est1 < 0.0) or np.any(est2 < 0.0) or np.any(mix_mag < 0.0):
+    # The minimum of an array holding NaN is NaN, which fails ``>= 0``.
+    if mix_mag.size and not all(x.min() >= 0.0 for x in (mix_mag, est1, est2)):
         raise ValueError("magnitudes must be nonnegative")
-    mask = est1 / np.maximum(est1 + est2, EPS)
-    part1 = mask * mix_mag
+    part1 = np.add(est1, est2)
+    np.maximum(part1, EPS, out=part1)
+    np.divide(est1, part1, out=part1)
+    part1 *= mix_mag
     return part1, mix_mag - part1
+
+
+def _unit_phase(spec: Array, mag: Array) -> Array:
+    """Overwrite the complex ``spec`` with ``spec / mag`` and return it.
+
+    ``mag`` is ``np.abs(spec)``; bins where it is 0 get the phase 1.  This is
+    the mixture phase used for resynthesis, built with no complex temporary.
+    """
+    np.divide(spec, mag, out=spec, where=mag > 0.0)
+    spec[mag == 0.0] = 1.0
+    return spec
 
 
 def _energy_ratio_db(reference: Array, error: Array) -> float:

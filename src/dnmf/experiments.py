@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Array
-from .dsp import istft, mix_at_snr, output_snr, stft, wiener_reconstruct
+from .dsp import _unit_phase, istft, mix_at_snr, output_snr, stft, wiener_reconstruct
 from .statespace import DnmfModel, FilterState, TrainConfig, concat_models, filter_stream, train
 
 __all__ = [
@@ -273,7 +273,8 @@ def run_separation(scenario: SeparationScenario, seed: int = 0) -> ExperimentRep
     s2ref = mixture - s1
     nfft, hop = scenario.fft_size, scenario.hop
     mix_spec = stft(mixture, nfft, hop)
-    mix_mag, phase = np.abs(mix_spec), np.exp(1j * np.angle(mix_spec))
+    mix_mag = np.abs(mix_spec)
+    phase = _unit_phase(mix_spec, mix_mag)
     mag1 = np.abs(stft(s1, nfft, hop))
     mag2 = np.abs(stft(s2ref, nfft, hop))
 

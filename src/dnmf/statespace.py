@@ -228,7 +228,8 @@ def solve_beta(c: Array, eta: Array) -> float:
     resolution = 8.0 * np.finfo(np.float64).eps
     beta = min(max(total - 1.0, lo), hi)
     for _ in range(_BETA_MAX_ITER):
-        val = float((cs / (beta + inv)).sum())
+        d = beta + inv
+        val = float((cs / d).sum())
         if abs(val - 1.0) <= _BETA_TOL:
             return float(beta)
         if val > 1.0:
@@ -241,7 +242,7 @@ def solve_beta(c: Array, eta: Array) -> float:
             # test can never pass; the bracket itself is then the sharper
             # certificate.
             return float(0.5 * (lo + hi))
-        deriv = float(-(cs / (beta + inv) ** 2).sum())
+        deriv = float(-(cs / (d * d)).sum())
         cand = beta - (val - 1.0) / deriv
         if not lo < cand < hi:
             cand = 0.5 * (lo + hi)
@@ -458,7 +459,8 @@ def filter_frame(state: FilterState, x: Array) -> Array:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != model.n_features:
         raise ValueError(f"frame must have length {model.n_features}")
-    if np.any(x < 0.0) or not np.all(np.isfinite(x)):
+    # NaN fails both comparisons, -inf the first and +inf the second.
+    if not (x.min() >= 0.0 and x.max() < math.inf):
         raise ValueError("frame must be nonnegative and finite")
     xf = np.maximum(x, EPS)
     xf = xf / xf.sum()

@@ -1,12 +1,13 @@
 import json
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dnmf.cli import load_model, main, save_model
+from dnmf.cli import _separate_pipeline, load_model, main, save_model
 from dnmf.core import normalize_columns
 from dnmf.dsp import istft, mix_at_snr, stft
 from dnmf.experiments import SeparationScenario, gen_chirp_pair
@@ -444,3 +445,51 @@ def test_zero_hop_is_a_usage_error(tmp_path, capsys, command):
                 "--noise-model", model, "--out", out[0]]
     assert main(args + ["--hop", "0"]) == 2
     assert "hop must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["separate", "denoise"])
+def test_default_hop_of_a_two_bin_model_is_one(tmp_path, command):
+    # fft_size // 4 is 0 at fft 2; the default hop must still be usable.
+    rng = np.random.default_rng(11)
+    model = str(tmp_path / "m.json")
+    save_model(_small_model(rng, k=2, i=1), model, train_q=0.1)  # fft size 2
+    mix = str(tmp_path / "mix.wav")
+    write_wav(mix, 0.1 * rng.standard_normal(800), 8000)
+    out = [str(tmp_path / f"o{i}.wav") for i in range(2)]
+    if command == "separate":
+        args = ["separate", "--mixture", mix, "--model1", model, "--model2", model,
+                "--out1", out[0], "--out2", out[1]]
+    else:
+        args = ["denoise", "--input", mix, "--speech-model", model,
+                "--noise-model", model, "--out", out[0]]
+    assert main(args) == 0
+    written = out if command == "separate" else out[:1]
+    for path in written:
+        y, rate = read_wav(path)
+        assert rate == 8000 and y.shape[0] == 800
+
+
+def test_separate_pipeline_peak_memory(tmp_path):
+    # Resynthesis must hold no more than one complex and five real
+    # spectrogram-sized arrays plus two signal-length ones at any moment.
+    rng = np.random.default_rng(12)
+    paths = []
+    for name in ("a", "b"):
+        path = str(tmp_path / f"{name}.json")
+        save_model(_small_model(rng, k=513, i=30, order=2), path, train_q=0.1)
+        paths.append(path)
+    n, fft_size, hop = 160000, 1024, 256
+    mix = str(tmp_path / "mix.wav")
+    write_wav(mix, 0.1 * rng.standard_normal(n), 16000)
+    n_frames = -(-(n - fft_size) // hop) + 1
+    real = (fft_size // 2 + 1) * n_frames * 8
+    signal = (fft_size + (n_frames - 1) * hop) * 8
+    budget = 2 * real + 5 * real + 2 * signal
+    tracemalloc.start()
+    try:
+        out1, out2, _ = _separate_pipeline(mix, paths[0], paths[1], 0.1, None, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out1.shape == out2.shape == (n,)
+    assert peak <= budget, f"peak {peak / 2**20:.1f} MiB, budget {budget / 2**20:.1f}"

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from dnmf.core import EPS
 from dnmf.dsp import (
+    _WINSUM_CUTOFF,
     _hann,
+    _unit_phase,
     input_snr,
     istft,
     mix_at_snr,
@@ -46,12 +49,47 @@ def _stft_per_frame(signal, fft_size, hop):
         (16100, 1024, 256),  # (n - fft_size) % hop != 0: trailing partial hop
         (5000, 128, 100),
         (8192, 512, 128),
+        (40000, 128, 100),  # 399 frames: three full blocks and a partial one
     ],
 )
 def test_stft_matches_per_frame_reference(n, fft_size, hop):
     sig = np.random.default_rng(n).standard_normal(n)
     spec = stft(sig, fft_size, hop)
     assert np.array_equal(spec, _stft_per_frame(sig, fft_size, hop))
+
+
+def _istft_per_frame(frames, hop):
+    """Frame-by-frame reference for istft."""
+    fft_size = 2 * (frames.shape[0] - 1)
+    window = _hann(fft_size)
+    length = fft_size + (frames.shape[1] - 1) * hop
+    out = np.zeros(length)
+    wsum = np.zeros(length)
+    for t in range(frames.shape[1]):
+        start = t * hop
+        frame = np.fft.irfft(frames[:, t], n=fft_size)
+        out[start : start + fft_size] += frame * window
+        wsum[start : start + fft_size] += window * window
+    good = wsum >= _WINSUM_CUTOFF
+    out[good] /= wsum[good]
+    out[~good] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("hop", [1, 100, 128, 256, 300, 1024, 2048])
+@pytest.mark.parametrize("fft_size", [2, 4, 128, 1024])
+def test_istft_matches_per_frame_reference(fft_size, hop):
+    rng = np.random.default_rng(fft_size + hop)
+    bins = fft_size // 2 + 1
+    # One frame, fewer than one block, and more than two blocks with a
+    # partial last block (the block is 128 frames).
+    for n_frames in (1, 5, 300):
+        frames = rng.standard_normal((bins, n_frames)) + 1j * rng.standard_normal(
+            (bins, n_frames)
+        )
+        ref = _istft_per_frame(frames, hop)
+        for layout in (frames, np.asfortranarray(frames)):
+            assert np.array_equal(istft(layout, hop), ref)
 
 
 def test_stft_validation():
@@ -75,6 +113,8 @@ def test_istft_validation():
         istft(good[:, 0], 64)
     with pytest.raises(ValueError, match="hop"):
         istft(good, 0)
+    with pytest.raises(ValueError, match="at least one frame"):
+        istft(good[:, :0], 64)
     assert istft(good, 64).shape == (256 + 3 * 64,)
 
 
@@ -122,11 +162,45 @@ def test_wiener_zero_estimates_give_all_mass_to_remainder():
     np.testing.assert_allclose(p2, [5.0])
 
 
+@pytest.mark.parametrize("shape", [(7,), (65, 40), (513, 300)])
+def test_wiener_matches_temporary_expression(shape):
+    rng = np.random.default_rng(len(shape) + shape[0])
+    mix = rng.uniform(0.0, 2.0, size=shape)
+    e1 = rng.uniform(0.0, 1.0, size=shape)
+    e2 = rng.uniform(0.0, 1.0, size=shape)
+    # Zero estimates exercise the EPS floor of the denominator.
+    e1.flat[::5] = 0.0
+    e2.flat[::10] = 0.0
+    mask = e1 / np.maximum(e1 + e2, EPS)
+    ref1 = mask * mix
+    p1, p2 = wiener_reconstruct(mix, e1, e2)
+    assert np.array_equal(p1, ref1)
+    assert np.array_equal(p2, mix - ref1)
+
+
 def test_wiener_validation():
     with pytest.raises(ValueError):
         wiener_reconstruct(np.ones(3), np.ones(3), np.ones(4))
     with pytest.raises(ValueError):
         wiener_reconstruct(np.ones(3), -np.ones(3), np.ones(3))
+    for position in range(3):
+        args = [np.ones(3), np.ones(3), np.ones(3)]
+        args[position][1] = np.nan
+        with pytest.raises(ValueError, match="nonnegative"):
+            wiener_reconstruct(*args)
+    p1, p2 = wiener_reconstruct(np.ones(0), np.ones(0), np.ones(0))
+    assert p1.shape == p2.shape == (0,)
+
+
+def test_unit_phase_matches_exp_angle():
+    rng = np.random.default_rng(23)
+    spec = stft(rng.standard_normal(4096), 256, 64)
+    spec[:, 3] = 0.0  # a silent frame: its phase is 1
+    ref = np.exp(1j * np.angle(spec))
+    phase = _unit_phase(spec, np.abs(spec))
+    assert phase is spec
+    assert np.max(np.abs(phase - ref)) < 1e-15
+    assert np.all(phase[:, 3] == 1.0)
 
 
 def test_input_snr_hand_value():

@@ -548,6 +548,12 @@ def test_filter_frame_validation():
         filter_frame(state, np.ones(4))
     with pytest.raises(ValueError):
         filter_frame(state, -np.ones(5))
+    for bad in (np.nan, np.inf, -np.inf):
+        frame = np.ones(5)
+        frame[2] = bad
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            filter_frame(state, frame)
+    assert len(state.history) == 0
     with pytest.raises(ValueError):
         FilterState(model, anneal=0.0)
     with pytest.raises(ValueError):
