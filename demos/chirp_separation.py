@@ -57,15 +57,16 @@ for src, ref in ((1, s1), (2, mixture - s1)):
     mag = np.abs(stft(ref, nfft, hop))
     model, _ = train(mag, scenario.rank, 1, TrainConfig(seed=src * 9973))
     models.append(model)
-est1, est2 = separate_sources(np.abs(mix_spec), models[0], models[1], scenario.anneal)
+# separate_sources consumes the spectrogram and returns complex frames that
+# keep the mixture phase.
+est1, est2 = separate_sources(mix_spec, models[0], models[1], scenario.anneal)
 
 out_dir = "separated"
 os.makedirs(out_dir, exist_ok=True)
-phase = np.exp(1j * np.angle(mix_spec))
 peak = np.abs(mixture).max()
 write_wav(os.path.join(out_dir, "mixture.wav"), mixture / (2 * peak), sr)
 for name, est, ref in (("source1", est1, s1), ("source2", est2, mixture - s1)):
-    y = istft(est * phase, hop)
+    y = istft(est, hop)
     n = min(y.shape[0], ref.shape[0])
     snr = output_snr(ref[:n], y[:n])
     path = os.path.join(out_dir, f"{name}.wav")

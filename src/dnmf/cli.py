@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .core import EPS, is_divergence
-from .dsp import _unit_phase, istft, stft
+from .dsp import istft, stft
 from .experiments import (
     SeparationScenario,
     TrackingScenario,
@@ -106,8 +106,16 @@ def _load_training_matrix(path: str, fft_size: int, hop: int) -> np.ndarray:
         if mat.size == 0:
             raise ValueError(f"{path}: empty matrix")
         return mat
-    samples, _ = read_wav(path)
+    samples, _ = _read_signal(path, fft_size)
     return np.abs(stft(samples, fft_size, hop))
+
+
+def _read_signal(path: str, fft_size: int) -> tuple[np.ndarray, int]:
+    """:func:`read_wav`, rejecting a signal shorter than one FFT frame."""
+    samples, rate = read_wav(path)
+    if len(samples) < fft_size:
+        raise ValueError(f"{path}: {len(samples)} samples, shorter than fft_size {fft_size}")
+    return samples, rate
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -141,7 +149,6 @@ def _separate_pipeline(
     hop: int | None,
     inner_iters: int,
 ):
-    samples, rate = read_wav(mixture_path)
     model_a, _, _ = load_model(model_a_path)
     model_b, _, _ = load_model(model_b_path)
     fft_size = 2 * (model_a.n_features - 1)
@@ -153,30 +160,16 @@ def _separate_pipeline(
     hop = hop if hop is not None else max(1, fft_size // 4)
     if hop < 1:
         raise ValueError("hop must be positive")
+    samples, rate = _read_signal(mixture_path, fft_size)
     n = samples.shape[0]
-    tail = (fft_size - n) % hop
-    if n >= fft_size and tail:
-        # Zero-pad so the last frame ends on the final sample or after it;
-        # the outputs are trimmed back to n.  Shorter inputs stay an error.
-        samples = np.pad(samples, (0, tail))
+    # Zero-pad so the last frame reaches the final sample; outputs are trimmed to n.
+    samples = np.pad(samples, (0, (fft_size - n) % hop))
     spec = stft(samples, fft_size, hop)
     del samples
-    mag = np.abs(spec)
-    est_a, est_b = separate_sources(
-        mag, model_a, model_b, anneal=q, inner_iters=inner_iters
-    )
-    # The phase overwrites the spectrogram, and each array is dropped once
-    # used, so resynthesis holds at most two complex spectrograms.
-    phase = _unit_phase(spec, mag)
-    del spec, mag
-    frames = est_a * phase
-    del est_a
-    out_a = istft(frames, hop)
-    del frames
-    phase *= est_b
-    del est_b
-    out_b = istft(phase, hop)
-    return out_a[:n], out_b[:n], rate
+    first, second = separate_sources(spec, model_a, model_b, q, inner_iters)
+    out_a = istft(first, hop)
+    del first
+    return out_a[:n], istft(second, hop)[:n], rate
 
 
 def cmd_separate(args: argparse.Namespace) -> int:
@@ -184,7 +177,11 @@ def cmd_separate(args: argparse.Namespace) -> int:
         args.mixture, args.model1, args.model2, args.q, args.hop, args.inner_iters
     )
     write_wav(args.out1, out1, rate)
-    write_wav(args.out2, out2, rate)
+    try:
+        write_wav(args.out2, out2, rate)
+    except BaseException:
+        os.remove(args.out1)  # leave no half of a failed separation behind
+        raise
     print(f"wrote {args.out1} and {args.out2}")
     return 0
 
@@ -220,7 +217,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_track(args: argparse.Namespace) -> int:
-    samples, rate = read_wav(args.input)
+    samples, rate = _read_signal(args.input, 128)
     if rate != 8000:
         raise ValueError(f"{args.input}: tracking expects 8000 Hz, got {rate}")
     mag = np.abs(stft(samples, 128, 128))

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Array
-from .dsp import _unit_phase, istft, mix_at_snr, output_snr, stft, wiener_reconstruct
+from .dsp import _BLOCK, _unit_phase, istft, mix_at_snr, output_snr, stft, wiener_reconstruct
 from .statespace import DnmfModel, FilterState, TrainConfig, concat_models, filter_stream, train
 
 __all__ = [
@@ -238,23 +238,32 @@ def gen_chirp_pair(scenario: SeparationScenario) -> tuple[Array, Array]:
 
 
 def separate_sources(
-    mag: Array,
+    spec: Array,
     model1: DnmfModel,
     model2: DnmfModel,
     anneal: float = 0.1,
     inner_iters: int = 1,
 ) -> tuple[Array, Array]:
-    """Filter the (bins, frames) mixture magnitude ``mag`` with two
-    concatenated models and split it by soft masks.
+    """Filter the complex (bins, frames) mixture STFT ``spec`` with two
+    concatenated models and split it by soft masks in the mixture phase.
 
-    Returns the two magnitude estimates (same shape as ``mag``); they sum to
-    it exactly.
+    Returns the two sources' complex frames; they sum to ``spec`` to within
+    rounding.  ``spec`` is consumed: the second source overwrites it and is
+    returned, so pass a copy to keep the mixture.  After filtering, the split
+    runs 128 frames at a time into the one new spectrogram-sized output.
     """
-    model = concat_models(model1, model2)
-    state = FilterState(model, anneal=anneal, inner_iters=inner_iters)
-    h = filter_stream(state, mag)
+    state = FilterState(concat_models(model1, model2), anneal=anneal, inner_iters=inner_iters)
+    h = filter_stream(state, np.abs(spec))
     n1 = model1.n_components
-    return wiener_reconstruct(mag, model1.basis @ h[:n1], model2.basis @ h[n1:])
+    first = np.empty_like(spec)
+    for b in range(0, spec.shape[1], _BLOCK):
+        cols = slice(b, b + _BLOCK)
+        mag = np.abs(spec[:, cols])
+        est1, est2 = model1.basis @ h[:n1, cols], model2.basis @ h[n1:, cols]
+        part1, part2 = wiener_reconstruct(mag, est1, est2)
+        np.multiply(part1, _unit_phase(spec[:, cols], mag), out=first[:, cols])
+        spec[:, cols] *= part2
+    return first, spec
 
 
 def run_separation(scenario: SeparationScenario, seed: int = 0) -> ExperimentReport:
@@ -273,8 +282,6 @@ def run_separation(scenario: SeparationScenario, seed: int = 0) -> ExperimentRep
     s2ref = mixture - s1
     nfft, hop = scenario.fft_size, scenario.hop
     mix_spec = stft(mixture, nfft, hop)
-    mix_mag = np.abs(mix_spec)
-    phase = _unit_phase(mix_spec, mix_mag)
     mag1 = np.abs(stft(s1, nfft, hop))
     mag2 = np.abs(stft(s2ref, nfft, hop))
 
@@ -286,15 +293,10 @@ def run_separation(scenario: SeparationScenario, seed: int = 0) -> ExperimentRep
             model, _ = train(mag, scenario.rank, order, cfg)
             models.append(model)
         method = "dnmf" if order >= 1 else "static"
-        est1, est2 = separate_sources(
-            mix_mag,
-            models[0],
-            models[1],
-            scenario.anneal,
-            _DNMF_INNER if order >= 1 else _STATIC_INNER,
-        )
+        inner = _DNMF_INNER if order >= 1 else _STATIC_INNER
+        est1, est2 = separate_sources(mix_spec.copy(), *models, scenario.anneal, inner)
         for tag, est, ref in (("source1", est1, s1), ("source2", est2, s2ref)):
-            y = istft(est * phase, hop)
+            y = istft(est, hop)
             # The frame grid may not cover the last few samples; score the
             # span both signals share.
             n = min(y.shape[0], ref.shape[0])

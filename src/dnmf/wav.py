@@ -59,7 +59,8 @@ def write_wav(path: str, samples: Array, rate: int) -> None:
     if samples.ndim != 1:
         raise ValueError("samples must be 1-D (mono)")
     pcm = np.clip(np.round(samples * 32768.0), -32768, 32767).astype("<i2")
-    with wave.open(path, "wb") as fh:
+    # wave.open(path) on an unopenable path leaves a writer whose __del__ raises.
+    with open(path, "wb") as raw, wave.open(raw, "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
         fh.setframerate(rate)

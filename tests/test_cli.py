@@ -470,8 +470,9 @@ def test_default_hop_of_a_two_bin_model_is_one(tmp_path, command):
 
 
 def test_separate_pipeline_peak_memory(tmp_path):
-    # Resynthesis must hold no more than one complex and five real
-    # spectrogram-sized arrays plus two signal-length ones at any moment.
+    # The pipeline must hold no more than two complex spectrogram-sized
+    # arrays, three signal-length ones and two 128-frame complex blocks at
+    # any moment.
     rng = np.random.default_rng(12)
     paths = []
     for name in ("a", "b"):
@@ -484,7 +485,8 @@ def test_separate_pipeline_peak_memory(tmp_path):
     n_frames = -(-(n - fft_size) // hop) + 1
     real = (fft_size // 2 + 1) * n_frames * 8
     signal = (fft_size + (n_frames - 1) * hop) * 8
-    budget = 2 * real + 5 * real + 2 * signal
+    block = 2 * (fft_size // 2 + 1) * 128 * 8
+    budget = 2 * 2 * real + 3 * signal + 2 * block
     tracemalloc.start()
     try:
         out1, out2, _ = _separate_pipeline(mix, paths[0], paths[1], 0.1, None, 1)
@@ -493,3 +495,49 @@ def test_separate_pipeline_peak_memory(tmp_path):
         tracemalloc.stop()
     assert out1.shape == out2.shape == (n,)
     assert peak <= budget, f"peak {peak / 2**20:.1f} MiB, budget {budget / 2**20:.1f}"
+
+
+def _separate_args(tmp_path, rng, n_samples):
+    model = str(tmp_path / "m.json")
+    save_model(_small_model(rng), model, train_q=0.1)  # fft size 16
+    mix = str(tmp_path / "mix.wav")
+    write_wav(mix, 0.1 * rng.standard_normal(n_samples), 8000)
+    return ["separate", "--mixture", mix, "--model1", model, "--model2", model]
+
+
+def test_separate_to_unopenable_path_is_one_error_line(tmp_path, capsys):
+    args = _separate_args(tmp_path, np.random.default_rng(13), 800)
+    out2 = str(tmp_path / "nodir" / "x.wav")
+    assert main(args + ["--out1", str(tmp_path / "o1.wav"), "--out2", out2]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and out2 in err[0]
+
+
+def test_failed_separate_leaves_no_first_output(tmp_path):
+    args = _separate_args(tmp_path, np.random.default_rng(14), 800)
+    out1 = tmp_path / "o1.wav"
+    out2 = str(tmp_path / "nodir" / "x.wav")
+    assert main(args + ["--out1", str(out1), "--out2", out2]) == 2
+    assert not out1.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "track", "separate", "denoise"])
+def test_too_short_input_names_the_file(tmp_path, capsys, command):
+    # 10 samples: shorter than the 1024 (train), 128 (track) and 16 (model)
+    # sample FFT frames.
+    args = _separate_args(tmp_path, np.random.default_rng(15), 10)
+    wav, model = args[2], args[4]
+    out = str(tmp_path / "out")
+    if command == "train":
+        args = ["train", wav, "--rank", "2", "--out", out]
+    elif command == "track":
+        args = ["track", wav, "--out", out]
+    elif command == "separate":
+        args += ["--out1", out, "--out2", out + "2"]
+    else:
+        args = ["denoise", "--input", wav, "--speech-model", model,
+                "--noise-model", model, "--out", out]
+    assert main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {wav}: 10 samples, shorter than fft_size")

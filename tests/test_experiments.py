@@ -15,8 +15,17 @@ from dnmf.experiments import (
     tracking_mse,
     tracking_model,
 )
-from dnmf.dsp import mix_at_snr, stft, wiener_reconstruct
-from dnmf.statespace import FilterState, TrainConfig, concat_models, filter_frame, train
+from dnmf.core import normalize_columns
+from dnmf.dsp import _unit_phase, mix_at_snr, stft, wiener_reconstruct
+from dnmf.statespace import (
+    DnmfModel,
+    FilterState,
+    TrainConfig,
+    concat_models,
+    filter_frame,
+    filter_stream,
+    train,
+)
 
 
 def test_swept_sinusoid_shape_and_truth_anchors():
@@ -82,19 +91,27 @@ def test_separate_sources_outputs_partition_mixture():
     sc = SeparationScenario(duration=0.3, rank=6)
     s1, s2 = gen_chirp_pair(sc)
     mix = mix_at_snr(s1, s2, 0.0)
-    mag = np.abs(stft(mix, sc.fft_size, sc.hop))
+    spec = stft(mix, sc.fft_size, sc.hop)
     cfg = TrainConfig(iters=20, prior_start=10, seed=0)
     m1, _ = train(np.abs(stft(s1, sc.fft_size, sc.hop)), 6, 1, cfg)
     m2, _ = train(np.abs(stft(s2, sc.fft_size, sc.hop)), 6, 1, cfg)
-    e1, e2 = separate_sources(mag, m1, m2)
-    assert e1.shape == mag.shape
-    np.testing.assert_allclose(e1 + e2, mag, rtol=0.0, atol=1e-12)
-    assert np.all(e1 >= 0.0)
-    assert np.all(e2 >= 0.0)
+    e1, e2 = separate_sources(spec.copy(), m1, m2)
+    assert e1.shape == e2.shape == spec.shape
+    np.testing.assert_allclose(e1 + e2, spec, rtol=0.0, atol=1e-12)
+    # Both parts keep the mixture phase, so their magnitudes partition it.
+    np.testing.assert_allclose(np.abs(e1) + np.abs(e2), np.abs(spec), rtol=0.0, atol=1e-12)
+
+
+def _separate_magnitudes(mag, model1, model2, anneal=0.1, inner_iters=1):
+    """The magnitude split of separate_sources from whole-array products."""
+    state = FilterState(concat_models(model1, model2), anneal=anneal, inner_iters=inner_iters)
+    h = filter_stream(state, mag)
+    n1 = model1.n_components
+    return wiener_reconstruct(mag, model1.basis @ h[:n1], model2.basis @ h[n1:])
 
 
 def _separate_per_frame(mag, model1, model2, anneal=0.1, inner_iters=1):
-    """Per-frame reference for separate_sources: one Wiener split per frame."""
+    """Per-frame reference for the magnitude split: one Wiener split per frame."""
     state = FilterState(concat_models(model1, model2), anneal=anneal, inner_iters=inner_iters)
     n1 = model1.n_components
     est1 = np.empty_like(mag)
@@ -111,15 +128,43 @@ def _separate_per_frame(mag, model1, model2, anneal=0.1, inner_iters=1):
 def test_separate_sources_matches_per_frame_reference(order, inner_iters):
     sc = SeparationScenario(duration=0.3, rank=5)
     s1, s2 = gen_chirp_pair(sc)
-    mag = np.abs(stft(mix_at_snr(s1, s2, 0.0), sc.fft_size, sc.hop))
+    spec = stft(mix_at_snr(s1, s2, 0.0), sc.fft_size, sc.hop)
+    mag = np.abs(spec)
     cfg = TrainConfig(iters=12, prior_start=6, seed=1)
     m1, _ = train(np.abs(stft(s1, sc.fft_size, sc.hop)), 5, order, cfg)
     m2, _ = train(np.abs(stft(s2, sc.fft_size, sc.hop)), 5, order, cfg)
-    got = separate_sources(mag, m1, m2, 0.2, inner_iters)
+    phase = _unit_phase(spec.copy(), mag)
+    got = separate_sources(spec, m1, m2, 0.2, inner_iters)
     want = _separate_per_frame(mag, m1, m2, 0.2, inner_iters)
-    # One matrix product per source rounds differently from per-column ones.
+    # One matrix product per block rounds differently from per-column ones.
     for g, w in zip(got, want):
-        np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(g, w * phase, rtol=0.0, atol=1e-12)
+
+
+def _random_model(rng, k, i, order):
+    basis = normalize_columns(rng.uniform(0.05, 1.0, size=(k, i)))
+    return DnmfModel(basis=basis, lags=[rng.uniform(0.1, 0.9, (i, i)) for _ in range(order)])
+
+
+@pytest.mark.parametrize("inner_iters", [1, 3])
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("n_frames", [1, 127, 128, 129, 300])
+def test_separate_sources_blocks_match_whole_array_split(n_frames, order, inner_iters):
+    # Frame counts on both sides of the 128-frame block; a zero bin checks
+    # the unit phase of silence.
+    rng = np.random.default_rng(n_frames + 10 * order + 100 * inner_iters)
+    spec = rng.standard_normal((17, n_frames)) + 1j * rng.standard_normal((17, n_frames))
+    spec[3, 0] = 0.0
+    m1, m2 = _random_model(rng, 17, 4, order), _random_model(rng, 17, 3, order)
+    mag = np.abs(spec)
+    parts = _separate_magnitudes(mag, m1, m2, 0.2, inner_iters)
+    phase = _unit_phase(spec.copy(), mag)
+    first, second = separate_sources(spec.copy(), m1, m2, 0.2, inner_iters)
+    tol = 1e-12 * mag.max()
+    for got, part in zip((first, second), parts):
+        assert got.shape == spec.shape and got.dtype == np.complex128
+        np.testing.assert_allclose(got, part * phase, rtol=0.0, atol=tol)
+    np.testing.assert_allclose(first + second, spec, rtol=0.0, atol=tol)
 
 
 def test_run_tracking_report_layout():
