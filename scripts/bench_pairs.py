@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Alternating benchmark pairs of two checkouts, summarised into a BENCH_<n>.json.
+
+Usage (from any directory)::
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --workload train_wav --seeds 91-100 --seconds 30 --out BENCH_9.json
+
+For every seed the script runs ``bench/run.py`` once in each checkout, one run
+at a time, with identical arguments; the parent goes first on the first, third,
+... seed and the change on the others.  Each run is the untraced benchmark, so
+its last line is the JSON object of end-to-end metrics.
+
+The output file gets two sections per call, merged into what the file already
+holds: ``<workload>_pairs`` (every run's result, the order it ran in and the
+output fingerprints) and ``<workload>_summary`` (per metric and side: median,
+quartiles, min and max, plus the number of pairs the change won, ties counting
+for neither).  ``machine`` and ``commands`` are filled in too.  "Better" for
+each metric comes from the change checkout's ``BENCHMARK.json``.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SIDES = ("parent", "change")
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``"91-100"`` or ``"1,5,9"`` (or a mix) as a list of seeds."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, list[dict]]:
+    """One untraced run: (result JSON, the ``detail`` objects it printed)."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds)],
+        cwd=checkout, stdout=subprocess.PIPE, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise RuntimeError(f"{checkout}: bench/run.py printed nothing (exit {proc.returncode})")
+    details = [json.loads(line[len("detail "):]) for line in lines if line.startswith("detail ")]
+    return json.loads(lines[-1]), details
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return "unknown"
+
+
+def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
+    summary = {}
+    for metric in pairs[0]["parent"]["metrics"]:
+        values = {side: [p[side]["metrics"][metric]["value"] for p in pairs] for side in SIDES}
+        row = {}
+        for side in SIDES:
+            q1, med, q3 = np.percentile(values[side], [25, 50, 75])
+            row[side] = {"median": float(med), "q1": float(q1), "q3": float(q3),
+                         "min": float(min(values[side])), "max": float(max(values[side]))}
+        sign = -1.0 if better[metric.rsplit(".", 1)[-1]] == "lower" else 1.0
+        row["change_wins"] = sum(sign * (c - p) > 0.0
+                                 for p, c in zip(values["parent"], values["change"]))
+        row["pairs"] = len(pairs)
+        summary[metric] = row
+    return summary
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--workload", required=True, help="a bench/run.py workload, or all")
+    parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 91-100")
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--out", type=Path, required=True, help="BENCH_<n>.json to update")
+    parser.add_argument("--what", help="one line saying what is compared")
+    args = parser.parse_args()
+
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    pairs, machine = [], None
+    for i, seed in enumerate(args.seeds):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {"seed": seed, "first": order[0], "output_sha256": {}}
+        for side in order:
+            result, details = run_bench(checkouts[side], args.workload, seed, args.seconds)
+            if not result["correct"]:
+                print(f"warning: {side} seed {seed} reported problems", file=sys.stderr)
+            pair[side] = result
+            pair["output_sha256"][side] = {d["workload"]: d["output_sha256"] for d in details}
+            machine = machine or details[0]["machine"]
+            wall = {k: round(v["value"], 3) for k, v in result["metrics"].items()
+                    if k.endswith("wall_s")}
+            print(f"seed {seed} {side}: {wall}", file=sys.stderr)
+        pairs.append(pair)
+
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    if args.what:
+        doc["what"] = args.what
+    doc["machine"] = {**{k: v for k, v in machine.items() if k != "loadavg_start"},
+                      "cpu": cpu_model()}
+    order_note = ", ".join(f"{p['seed']} {p['first']} first" for p in pairs)
+    doc.setdefault("commands", {})[f"{args.workload}_pairs"] = (
+        f"python3 bench/run.py --workload {args.workload} --seed <seed> "
+        f"--seconds {args.seconds:g} in each checkout, one run at a time ({order_note})")
+    doc[f"{args.workload}_summary"] = summarise(pairs, better)
+    doc[f"{args.workload}_pairs"] = pairs
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -56,7 +56,9 @@ def save_model(
         "metadata": dict(metadata or {}),
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh)
+        # json.dumps runs the C encoder; json.dump would run the pure-Python
+        # one, for the same bytes.
+        fh.write(json.dumps(doc))
         fh.write("\n")
 
 
@@ -149,6 +151,13 @@ def _separate_pipeline(
     hop: int | None,
     inner_iters: int,
 ):
+    """Split a mixture WAV with two models into both sources' STFT frames.
+
+    Returns ``(first, second, hop, n, rate)``: the complex frames of each
+    source, the hop that inverts them, the mixture's sample count (the
+    inverted signals are trimmed to it) and its sample rate.  Each command
+    inverts only the sources it writes.
+    """
     model_a, _, _ = load_model(model_a_path)
     model_b, _, _ = load_model(model_b_path)
     fft_size = 2 * (model_a.n_features - 1)
@@ -167,15 +176,16 @@ def _separate_pipeline(
     spec = stft(samples, fft_size, hop)
     del samples
     first, second = separate_sources(spec, model_a, model_b, q, inner_iters)
-    out_a = istft(first, hop)
-    del first
-    return out_a[:n], istft(second, hop)[:n], rate
+    return first, second, hop, n, rate
 
 
 def cmd_separate(args: argparse.Namespace) -> int:
-    out1, out2, rate = _separate_pipeline(
+    first, second, hop, n, rate = _separate_pipeline(
         args.mixture, args.model1, args.model2, args.q, args.hop, args.inner_iters
     )
+    out1 = istft(first, hop)[:n]
+    del first  # one source's frames at a time next to the output signals
+    out2 = istft(second, hop)[:n]
     write_wav(args.out1, out1, rate)
     try:
         write_wav(args.out2, out2, rate)
@@ -187,7 +197,7 @@ def cmd_separate(args: argparse.Namespace) -> int:
 
 
 def cmd_denoise(args: argparse.Namespace) -> int:
-    speech, _, rate = _separate_pipeline(
+    speech, noise, hop, n, rate = _separate_pipeline(
         args.input,
         args.speech_model,
         args.noise_model,
@@ -195,7 +205,8 @@ def cmd_denoise(args: argparse.Namespace) -> int:
         args.hop,
         args.inner_iters,
     )
-    write_wav(args.out, speech, rate)
+    del noise  # only the speech estimate is written
+    write_wav(args.out, istft(speech, hop)[:n], rate)
     print(f"wrote {args.out}")
     return 0
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,12 +149,14 @@ class FilterState:
 
 def _predict(lags: list[Array], history) -> Array:
     """``sum_j lags[j-1] @ history[-j]``, all-ones where ``history`` is short."""
-    ones = np.ones(lags[0].shape[0])
-    eta = np.zeros(lags[0].shape[0])
     n = len(history)
+    eta = None
     for j, a in enumerate(lags, start=1):
-        past = np.asarray(history[n - j], dtype=np.float64) if j <= n else ones
-        eta += a @ past
+        past = history[n - j] if j <= n else np.ones(a.shape[0])
+        if eta is None:
+            eta = a @ past
+        else:
+            eta += a @ past
     return eta
 
 
@@ -165,6 +168,11 @@ def _predict_all(lags: list[Array], h: Array) -> Array:
 # Convergence threshold on |g(beta) - 1| and step budget of solve_beta.
 _BETA_TOL = 1e-12
 _BETA_MAX_ITER = 200
+# Relative bracket width at which solve_beta stops: a few ulps.
+_BETA_RESOLUTION = 8.0 * np.finfo(np.float64).eps
+
+# The ufunc reductions behind ndarray.sum/min/max, without the method wrapper.
+_sum, _min, _max = np.add.reduce, np.minimum.reduce, np.maximum.reduce
 
 
 def solve_beta(c: Array, eta: Array) -> float:
@@ -178,9 +186,14 @@ def solve_beta(c: Array, eta: Array) -> float:
     root is returned in closed form, ``sum(c) - 1/eta[0]``, before any
     iteration.  Otherwise the root lies in the closed-form bracket
     ``[pole + c_m, pole + sum(c)]``, with ``c_m`` the count at the smallest
-    ``1/eta``.  Newton's method starts at ``sum(c) - 1``, clamped to the
-    bracket, and falls back to bisection whenever a step would leave the
-    shrinking bracket.
+    ``1/eta``.  Newton's method runs on the equivalent ``1/g(beta) = 1``,
+    which is exactly linear in ``beta`` under a uniform prior and nearly so
+    when one term dominates, so it needs fewer steps than Newton on ``g``
+    (Bunch, Nielsen & Sorensen, Numer. Math. 1978).  It starts at
+    ``sum(c) - 1``, clamped to the bracket, and falls back to bisection
+    whenever a step would leave the shrinking bracket.  It stops once
+    ``|g(beta) - 1| <= 1e-12`` or once the bracket is no wider than a few
+    ulps of ``beta``.
 
     Parameters
     ----------
@@ -200,8 +213,8 @@ def solve_beta(c: Array, eta: Array) -> float:
         raise ValueError("c and eta must be 1-D arrays of equal length")
     if c.size == 0:
         raise ValueError("counts must have positive total")
-    total = float(c.sum())
-    c_min, eta_min, eta_max = c.min(), eta.min(), eta.max()
+    total = float(_sum(c))
+    c_min, eta_min, eta_max = _min(c), _min(eta), _max(eta)
     # A NaN or infinite entry makes the total or an extreme of eta non-finite.
     if not all(map(math.isfinite, (total, eta_min, eta_max))):
         raise ValueError("counts and prior means must be finite")
@@ -214,36 +227,40 @@ def solve_beta(c: Array, eta: Array) -> float:
     if eta_min == eta_max:
         return total - 1.0 / float(eta[0])
 
-    # With every count positive, a full slice skips the mask and its copies.
-    support = slice(None) if c_min > 0.0 else c > 0.0
-    cs, inv = c[support], 1.0 / eta[support]
-    pole = float(-inv.min())
+    if c_min > 0.0:
+        cs, inv = c, 1.0 / eta
+    else:
+        support = c > 0.0
+        cs, inv = c[support], 1.0 / eta[support]
+    k = inv.argmin()
+    pole = -float(inv[k])
 
     # Closed-form bracket.  The term with the smallest 1/eta alone gives
     # g(lo) >= c_m / (lo - pole) = 1; every denominator at hi is at least
     # hi - pole = sum(c), so g(hi) <= 1.
-    lo = pole + float(cs[np.argmin(inv)])
+    lo = pole + float(cs[k])
     hi = pole + total
 
-    resolution = 8.0 * np.finfo(np.float64).eps
+    # Every iterate stays inside [lo, hi], so it replaces one end outright.
     beta = min(max(total - 1.0, lo), hi)
     for _ in range(_BETA_MAX_ITER):
-        d = beta + inv
-        val = float((cs / d).sum())
+        d = inv + beta
+        q = cs / d
+        val = float(_sum(q))
         if abs(val - 1.0) <= _BETA_TOL:
-            return float(beta)
+            return beta
         if val > 1.0:
-            lo = max(lo, beta)
+            lo = beta
         else:
-            hi = min(hi, beta)
-        if hi - lo <= resolution * max(1.0, abs(lo), abs(hi)):
+            hi = beta
+        if hi - lo <= _BETA_RESOLUTION * max(1.0, abs(lo), abs(hi)):
             # When the root sits almost on the pole, g moves by more than
             # the tolerance across one float64 ulp of beta, so the residual
             # test can never pass; the bracket itself is then the sharper
             # certificate.
-            return float(0.5 * (lo + hi))
-        deriv = float(-(cs / (d * d)).sum())
-        cand = beta - (val - 1.0) / deriv
+            return 0.5 * (lo + hi)
+        # Newton on 1/g = 1 is the step on g, (g - 1) / -g', times g.
+        cand = beta + val * (val - 1.0) / float(_sum(q / d))
         if not lo < cand < hi:
             cand = 0.5 * (lo + hi)
         beta = cand
@@ -253,14 +270,24 @@ def solve_beta(c: Array, eta: Array) -> float:
     )
 
 
-def _simplex_update(c: Array, eta: Array) -> Array:
-    """Maximize ``sum_i c[i]*log(h[i]) - h[i]/eta[i]`` over the simplex."""
+def _simplex_update(
+    c: Array, eta: Array, inv: Array | None = None, out: Array | None = None
+) -> Array:
+    """Maximize ``sum_i c[i]*log(h[i]) - h[i]/eta[i]`` over the simplex.
+
+    ``inv`` may carry a precomputed ``1/eta``; the result is written into
+    ``out`` when given.
+    """
     beta = solve_beta(c, eta)
-    out = c / (beta + 1.0 / eta)
-    return out / out.sum()
+    out = np.add(1.0 / eta if inv is None else inv, beta, out=out)
+    np.divide(c, out, out=out)
+    out /= _sum(out)
+    return out
 
 
-def _em_step(xf: Array, w: Array, eta: Array, h: Array) -> Array:
+def _em_step(
+    xf: Array, w: Array, eta: Array, h: Array, inv: Array | None = None, work=None
+) -> Array:
     """One constrained EM refinement of a single frame's coefficients.
 
     ``xf`` is the raw (floored) frame; responsibilities come from the current
@@ -269,10 +296,32 @@ def _em_step(xf: Array, w: Array, eta: Array, h: Array) -> Array:
     the prior mean for this frame.  The counts keep the frame's natural
     scale, so the normalizing multiplier grows with the frame energy and the
     ``1/eta`` prior term acts as a proportionally gentle correction.
+
+    A caller refining one frame repeatedly may pass ``inv = 1/eta`` and
+    ``work``, two scratch vectors of lengths I and K; with ``work`` the
+    result overwrites ``h`` (read before it is written), without it a new
+    vector is returned.
     """
-    hs = np.maximum(h, EPS)
-    wh = np.maximum(w @ hs, EPS)
-    return _simplex_update(hs * (w.T @ (xf / wh)), eta)
+    if work is None:
+        hs, wh, out = np.empty_like(h), np.empty_like(xf), None
+    else:
+        (hs, wh), out = work, h
+    np.maximum(h, EPS, out=hs)
+    np.matmul(w, hs, out=wh)
+    np.maximum(wh, EPS, out=wh)
+    np.divide(xf, wh, out=wh)
+    counts = np.multiply(hs, w.T @ wh, out=hs)
+    return _simplex_update(counts, eta, inv, out)
+
+
+@contextmanager
+def _float64_guard(what: str):
+    """Raise at the first overflow or NaN rather than compute on with them."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{what} left float64 range: {exc}") from None
 
 
 def build_lag_matrix(h: Array, order: int) -> Array:
@@ -375,6 +424,11 @@ def train(
     (model, h) : tuple
         The fitted :class:`DnmfModel` and the final simplex coefficients of
         shape (rank, T).
+
+    Raises
+    ------
+    FloatingPointError
+        If float64 overflows, as finite data near 1e308 can make it.
     """
     cfg = config if config is not None else TrainConfig()
     data = nonneg_matrix(x, name="data")
@@ -382,6 +436,12 @@ def train(
         raise ValueError("rank must be at least 1")
     if order < 0:
         raise ValueError("order must be nonnegative")
+    with _float64_guard("training"):
+        return _fit(data, rank, order, cfg)
+
+
+def _fit(data: Array, rank: int, order: int, cfg: TrainConfig) -> tuple[DnmfModel, Array]:
+    """The iterations of :func:`train` on validated arguments."""
     nfeat, nframes = data.shape
 
     rng = np.random.default_rng(cfg.seed)
@@ -406,10 +466,15 @@ def train(
             # Uniform prior means: every frame decouples.
             h = counts / counts.sum(axis=0)
         else:
-            # Columns of h before t already hold this iteration's estimates.
+            # Time-major history: ``order`` all-ones rows, then one row per
+            # frame; rows before ``order + t`` already hold this iteration's
+            # estimates, so rows t .. t + order - 1 are frame t's past.
+            hist = np.ones((order + nframes, rank))
+            counts_t = np.ascontiguousarray(counts.T)
             for t in range(nframes):
-                pred = np.maximum(_predict(lags, h[:, :t].T), EPS)
-                h[:, t] = _simplex_update(counts[:, t], pred ** cfg.anneal)
+                pred = np.maximum(_predict(lags, hist[t : t + order]), EPS)
+                _simplex_update(counts_t[t], pred ** cfg.anneal, out=hist[order + t])
+            h = np.ascontiguousarray(hist[order:].T)
         if order > 0 and it >= cfg.prior_start:
             v = build_lag_matrix(h, order)
             stacked = estimate_nvar(h, np.hstack(lags), v, sweeps=1)
@@ -465,18 +530,23 @@ def filter_frame(state: FilterState, x: Array) -> Array:
     xf = np.maximum(x, EPS)
     xf = xf / xf.sum()
 
-    if model.order >= 1:
+    dynamic = model.order >= 1
+    if dynamic:
         pred = _predict(model.lags, state.history)
         base = np.maximum(pred, EPS)
         h = np.maximum(pred, _INIT_FLOOR)
         h = h / h.sum()
     else:
-        base = np.ones(model.n_components)
-        h = base / base.sum()
+        # 1 ** x == 1 exactly, so an order-0 model's prior mean stays ones.
+        eta = inv = np.ones(model.n_components)
+        h = eta / eta.sum()
+    # Every refinement overwrites h, which is new for this frame.
+    work = (np.empty_like(h), np.empty_like(xf))
     for r in range(1, state.inner_iters + 1):
-        # 1 ** x == 1 exactly, so an order-0 model's prior mean stays base.
-        eta = base ** (state.anneal / r) if model.order >= 1 else base
-        h = _em_step(xf, model.basis, eta, h)
+        if dynamic:
+            eta = base ** (state.anneal / r)
+            inv = 1.0 / eta
+        _em_step(xf, model.basis, eta, h, inv, work)
     state.history.append(h)
     return h
 
@@ -499,13 +569,19 @@ def filter_stream(state: FilterState, frames: Array) -> Array:
     np.ndarray
         Coefficients of shape (model.n_components, n_frames); each column
         lies on the simplex.
+
+    Raises
+    ------
+    FloatingPointError
+        If float64 overflows, as finite lag entries near 1e308 can make it.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] != state.model.n_features:
         raise ValueError(f"frames must be 2-D with {state.model.n_features} rows")
     h = np.empty((state.model.n_components, frames.shape[1]))
-    for t in range(frames.shape[1]):
-        h[:, t] = filter_frame(state, frames[:, t])
+    with _float64_guard("filtering"):
+        for t in range(frames.shape[1]):
+            h[:, t] = filter_frame(state, frames[:, t])
     return h
 
 

@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
 import re
 import struct
+import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dnmf.cli
 from dnmf.cli import _separate_pipeline, load_model, main, save_model
 from dnmf.core import normalize_columns
 from dnmf.dsp import istft, mix_at_snr, stft
@@ -489,7 +496,14 @@ def test_separate_pipeline_peak_memory(tmp_path):
     budget = 2 * 2 * real + 3 * signal + 2 * block
     tracemalloc.start()
     try:
-        out1, out2, _ = _separate_pipeline(mix, paths[0], paths[1], 0.1, None, 1)
+        first, second, hop, n_out, _ = _separate_pipeline(
+            mix, paths[0], paths[1], 0.1, None, 1
+        )
+        # Inverted as `dnmf separate` does it: one source's frames at a time.
+        out1 = istft(first, hop)[:n_out]
+        del first
+        out2 = istft(second, hop)[:n_out]
+        del second
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -541,3 +555,158 @@ def test_too_short_input_names_the_file(tmp_path, capsys, command):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"error: {wav}: 10 samples, shorter than fft_size")
+
+
+def test_train_overflow_is_one_numerical_failure_line(tmp_path, capsys):
+    # The input is finite and nonnegative; float64 overflows while training.
+    csv = tmp_path / "big.csv"
+    np.savetxt(csv, np.full((4, 6), 1e308), delimiter=",")
+    out = tmp_path / "m.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", str(csv), "--rank", "2", "--order", "1",
+                     "--iters", "4", "--m", "2", "--out", str(out)])
+    assert code == 3
+    assert caught == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["separate", "denoise"])
+def test_filter_overflow_is_one_numerical_failure_line(tmp_path, capsys, command):
+    # Finite lag entries near 1e308 overflow the prediction.
+    args = _separate_args(tmp_path, np.random.default_rng(16), 800)
+    doc = json.loads(Path(args[4]).read_text())
+    doc["A"] = [np.full((doc["I"], doc["I"]), 1e308).tolist()]
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc))
+    outs = [tmp_path / "o1.wav", tmp_path / "o2.wav"]
+    if command == "separate":
+        args = args[:4] + [str(huge)] + args[5:] + ["--out1", str(outs[0]),
+                                                    "--out2", str(outs[1])]
+    else:
+        args = ["denoise", "--input", args[2], "--speech-model", str(huge),
+                "--noise-model", args[4], "--out", str(outs[0])]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args) == 3
+    assert caught == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure:")
+    assert not any(p.exists() for p in outs)
+
+
+def test_denoise_inverts_only_the_speech_estimate(tmp_path, monkeypatch):
+    mix_path, model_a, model_b, _ = _write_separation_fixture(tmp_path)
+    sep1, sep2, den = (str(tmp_path / f"{n}.wav") for n in ("s1", "s2", "d"))
+    assert main(["separate", "--mixture", mix_path, "--model1", model_a,
+                 "--model2", model_b, "--q", "0.3", "--out1", sep1, "--out2", sep2]) == 0
+    calls = []
+
+    def counting_istft(*args, **kwargs):
+        calls.append(1)
+        return istft(*args, **kwargs)
+
+    monkeypatch.setattr(dnmf.cli, "istft", counting_istft)
+    assert main(["denoise", "--input", mix_path, "--speech-model", model_a,
+                 "--noise-model", model_b, "--out", den]) == 0
+    assert len(calls) == 1
+    # The speech estimate is the first output of `separate` at the same q.
+    assert Path(den).read_bytes() == Path(sep1).read_bytes()
+
+
+def test_save_model_writes_the_bytes_of_json_dump(tmp_path):
+    rng = np.random.default_rng(17)
+    model = _small_model(rng, order=2)
+    model.basis[0, 0] += 5e-324  # subnormal-scale digits must survive too
+    path = tmp_path / "m.json"
+    metadata = {"source": "x.wav", "iters": "3"}
+    save_model(model, str(path), train_q=np.float64(0.15), metadata=metadata)
+    want = io.StringIO()
+    json.dump({
+        "format_version": 1,
+        "K": 9,
+        "I": 3,
+        "J": 2,
+        "W": model.basis.tolist(),
+        "A": [a.tolist() for a in model.lags],
+        "train_q": np.float64(0.15),
+        "metadata": metadata,
+    }, want)
+    want.write("\n")
+    assert path.read_bytes() == want.getvalue().encode("utf-8")
+
+
+def _model_doc_mutations():
+    """A mutation of a saved model document: (kind, field, value)."""
+    junk = st.one_of(
+        st.none(), st.booleans(), st.integers(-3, 600), st.text(max_size=3),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.lists(st.floats(-1.0, 2.0), max_size=3),
+        st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    )
+    fields = st.sampled_from(["format_version", "K", "I", "J", "W", "A", "train_q",
+                              "metadata"])
+    entry = st.sampled_from([np.nan, np.inf, -np.inf, -0.5, 1e308, 0.0])
+    return st.one_of(
+        st.tuples(st.just("none"), st.none(), st.none()),
+        st.tuples(st.just("drop"), fields, st.none()),
+        st.tuples(st.just("type"), fields, junk),
+        st.tuples(st.just("entry"), st.sampled_from(["W", "A"]), entry),
+        st.tuples(st.just("extra_lag"), st.booleans(), st.none()),
+        st.tuples(st.just("size"), st.sampled_from(["K", "I", "J"]), st.integers(0, 12)),
+        st.tuples(st.just("shape"), st.sampled_from(["W", "A"]), st.none()),
+    )
+
+
+def _mutate(doc, kind, field, value):
+    doc = json.loads(json.dumps(doc))
+    if kind == "drop":
+        del doc[field]
+    elif kind in ("type", "size"):
+        doc[field] = value
+    elif kind == "entry":
+        target = doc["W"] if field == "W" else doc["A"][0]
+        target[1][1] = value
+    elif kind == "extra_lag":
+        doc["A"].append(doc["A"][0])
+        if field:  # keep J consistent: the order then differs from the other model's
+            doc["J"] += 1
+    elif kind == "shape":
+        target = doc["W"] if field == "W" else doc["A"][0]
+        target.pop()
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutation=_model_doc_mutations(), command=st.sampled_from(["separate", "denoise"]),
+       second=st.booleans())
+def test_mutated_model_documents_fail_cleanly(mutation, command, second):
+    rng = np.random.default_rng(18)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        args = _separate_args(tmp, rng, 800)
+        good = args[4]
+        bad = tmp / "bad.json"
+        bad.write_text(json.dumps(_mutate(json.loads(Path(good).read_text()), *mutation)))
+        first_model, second_model = (good, str(bad)) if second else (str(bad), good)
+        outs = [tmp / "o1.wav", tmp / "o2.wav"]
+        if command == "separate":
+            argv = ["separate", "--mixture", args[2], "--model1", first_model,
+                    "--model2", second_model, "--out1", str(outs[0]), "--out2", str(outs[1])]
+        else:
+            outs = outs[:1]
+            argv = ["denoise", "--input", args[2], "--speech-model", first_model,
+                    "--noise-model", second_model, "--out", str(outs[0])]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert all(p.exists() for p in outs)
+        else:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith(("error:", "numerical failure:"))
+            assert not any(p.exists() for p in outs)

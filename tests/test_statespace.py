@@ -158,7 +158,7 @@ def test_solve_beta_validation():
 
 
 def _solve_beta_newton(c, eta):
-    """The Newton normalizer as it was before the closed-form uniform path."""
+    """Reference normalizer: Newton on ``g(beta) = 1``, no closed-form uniform path."""
     c = np.asarray(c, dtype=np.float64)
     eta = np.asarray(eta, dtype=np.float64)
     total = float(c.sum())
@@ -193,16 +193,26 @@ def _solve_beta_newton(c, eta):
 
 
 def test_solve_beta_matches_newton_reference():
-    # Non-uniform priors keep the Newton path bit for bit, with and without
-    # zero counts.
+    # Newton on 1/g takes other steps than the reference's Newton on g, so
+    # the roots agree to the tolerance, and each carries the solver's own
+    # certificate: a residual within _BETA_TOL, or a bracket of a few ulps.
     rng = np.random.default_rng(22)
+    resolution = 8.0 * np.finfo(np.float64).eps
     for _ in range(200):
         n = int(rng.integers(1, 40))
         c = rng.uniform(0.0, 2.0, size=n)
         c[rng.uniform(size=n) < 0.3] = 0.0
         c[rng.integers(n)] = 0.7
         eta = rng.uniform(1e-2, 1e2, size=n)
-        assert solve_beta(c, eta) == _solve_beta_newton(c, eta)
+        beta, want = solve_beta(c, eta), _solve_beta_newton(c, eta)
+        assert abs(beta - want) <= 1e-11 * abs(want)
+        cs, inv = c[c > 0.0], 1.0 / eta[c > 0.0]
+
+        def g(b):
+            return float((cs / (b + inv)).sum())
+
+        half = 0.5 * resolution * max(1.0, abs(beta))
+        assert abs(g(beta) - 1.0) <= 1e-12 or g(beta - half) >= 1.0 >= g(beta + half)
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +465,57 @@ def test_train_matches_per_frame_reference():
         assert model.order == len(lags_ref)
         for a, a_ref in zip(model.lags, lags_ref):
             np.testing.assert_allclose(a, a_ref, rtol=0, atol=1e-10)
+
+
+def _train_columnwise(x, rank, order, cfg):
+    """Reference ``train`` whose dynamic phase updates h column by column."""
+    rng = np.random.default_rng(cfg.seed)
+    xf = np.maximum(np.asarray(x, dtype=np.float64), EPS)
+    nfeat, nframes = xf.shape
+    picks = rng.choice(nframes, size=rank, replace=nframes < rank)
+    jitter = rng.uniform(0.05, 0.15, size=(nfeat, rank))
+    w = normalize_columns(xf[:, picks] / xf[:, picks].mean(axis=0) + jitter)
+    h = normalize_columns(rng.uniform(0.1, 1.1, size=(rank, nframes)))
+    lags = [rng.uniform(0.1, 1.1, size=(rank, rank)) for _ in range(order)]
+    for it in range(1, cfg.iters + 1):
+        hs = np.maximum(h, EPS)
+        ratio = xf / np.maximum(w @ hs, EPS)
+        counts = hs * (w.T @ ratio)
+        w = normalize_columns(w * (ratio @ hs.T))
+        if order == 0 or it <= cfg.prior_start:
+            h = counts / counts.sum(axis=0)
+        else:
+            for t in range(nframes):
+                pred = np.maximum(_predict(lags, h[:, :t].T), EPS)
+                h[:, t] = _simplex_update(counts[:, t], pred ** cfg.anneal)
+        if order > 0 and it >= cfg.prior_start:
+            stacked = estimate_nvar(h, np.hstack(lags), build_lag_matrix(h, order))
+            lags = [stacked[:, j * rank : (j + 1) * rank].copy() for j in range(order)]
+    return w, h, lags
+
+
+def test_train_time_major_history_matches_columnwise_reference(monkeypatch):
+    # With one normalizer on both sides, the time-major history moves no bit.
+    monkeypatch.setattr(statespace, "solve_beta", _solve_beta_newton)
+    rng = np.random.default_rng(65)
+    for _ in range(30):
+        order = int(rng.integers(0, 4))
+        iters = int(rng.integers(1, 9))
+        cfg = TrainConfig(
+            iters=iters,
+            prior_start=int(rng.integers(0, iters + 1)),
+            anneal=float(rng.choice([0.15, 1.0])),
+            seed=int(rng.integers(1000)),
+        )
+        x = rng.uniform(0.0, 2.0, size=(int(rng.integers(3, 12)), int(rng.integers(2, 20))))
+        x[rng.uniform(size=x.shape) < 0.2] = 0.0
+        rank = int(rng.integers(1, 6))
+        model, h = train(x, rank, order, cfg)
+        w_ref, h_ref, lags_ref = _train_columnwise(x, rank, order, cfg)
+        assert np.array_equal(model.basis, w_ref)
+        assert np.array_equal(h, h_ref)
+        assert len(model.lags) == len(lags_ref)
+        assert all(np.array_equal(a, b) for a, b in zip(model.lags, lags_ref))
 
 
 def test_train_validation():
