@@ -186,6 +186,7 @@ def cmd_separate(args: argparse.Namespace) -> int:
     out1 = istft(first, hop)[:n]
     del first  # one source's frames at a time next to the output signals
     out2 = istft(second, hop)[:n]
+    del second
     write_wav(args.out1, out1, rate)
     try:
         write_wav(args.out2, out2, rate)
@@ -310,7 +311,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Finite input can still overflow float64 (data or lag entries near
+        # 1e308); stop at the first such operation rather than warn and carry
+        # inf/NaN on until some later check misreports it as bad input.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -270,24 +269,19 @@ def solve_beta(c: Array, eta: Array) -> float:
     )
 
 
-def _simplex_update(
-    c: Array, eta: Array, inv: Array | None = None, out: Array | None = None
-) -> Array:
+def _simplex_update(c: Array, eta: Array, out: Array | None = None) -> Array:
     """Maximize ``sum_i c[i]*log(h[i]) - h[i]/eta[i]`` over the simplex.
 
-    ``inv`` may carry a precomputed ``1/eta``; the result is written into
-    ``out`` when given.
+    The result is written into ``out`` when given.
     """
     beta = solve_beta(c, eta)
-    out = np.add(1.0 / eta if inv is None else inv, beta, out=out)
+    out = np.add(1.0 / eta, beta, out=out)
     np.divide(c, out, out=out)
     out /= _sum(out)
     return out
 
 
-def _em_step(
-    xf: Array, w: Array, eta: Array, h: Array, inv: Array | None = None, work=None
-) -> Array:
+def _em_step(xf: Array, w: Array, eta: Array, h: Array) -> Array:
     """One constrained EM refinement of a single frame's coefficients.
 
     ``xf`` is the raw (floored) frame; responsibilities come from the current
@@ -296,32 +290,10 @@ def _em_step(
     the prior mean for this frame.  The counts keep the frame's natural
     scale, so the normalizing multiplier grows with the frame energy and the
     ``1/eta`` prior term acts as a proportionally gentle correction.
-
-    A caller refining one frame repeatedly may pass ``inv = 1/eta`` and
-    ``work``, two scratch vectors of lengths I and K; with ``work`` the
-    result overwrites ``h`` (read before it is written), without it a new
-    vector is returned.
     """
-    if work is None:
-        hs, wh, out = np.empty_like(h), np.empty_like(xf), None
-    else:
-        (hs, wh), out = work, h
-    np.maximum(h, EPS, out=hs)
-    np.matmul(w, hs, out=wh)
-    np.maximum(wh, EPS, out=wh)
-    np.divide(xf, wh, out=wh)
-    counts = np.multiply(hs, w.T @ wh, out=hs)
-    return _simplex_update(counts, eta, inv, out)
-
-
-@contextmanager
-def _float64_guard(what: str):
-    """Raise at the first overflow or NaN rather than compute on with them."""
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise FloatingPointError(f"{what} left float64 range: {exc}") from None
+    hs = np.maximum(h, EPS)
+    wh = np.maximum(w @ hs, EPS)
+    return _simplex_update(hs * (w.T @ (xf / wh)), eta)
 
 
 def build_lag_matrix(h: Array, order: int) -> Array:
@@ -424,11 +396,6 @@ def train(
     (model, h) : tuple
         The fitted :class:`DnmfModel` and the final simplex coefficients of
         shape (rank, T).
-
-    Raises
-    ------
-    FloatingPointError
-        If float64 overflows, as finite data near 1e308 can make it.
     """
     cfg = config if config is not None else TrainConfig()
     data = nonneg_matrix(x, name="data")
@@ -436,12 +403,6 @@ def train(
         raise ValueError("rank must be at least 1")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    with _float64_guard("training"):
-        return _fit(data, rank, order, cfg)
-
-
-def _fit(data: Array, rank: int, order: int, cfg: TrainConfig) -> tuple[DnmfModel, Array]:
-    """The iterations of :func:`train` on validated arguments."""
     nfeat, nframes = data.shape
 
     rng = np.random.default_rng(cfg.seed)
@@ -530,23 +491,18 @@ def filter_frame(state: FilterState, x: Array) -> Array:
     xf = np.maximum(x, EPS)
     xf = xf / xf.sum()
 
-    dynamic = model.order >= 1
-    if dynamic:
+    if model.order >= 1:
         pred = _predict(model.lags, state.history)
         base = np.maximum(pred, EPS)
         h = np.maximum(pred, _INIT_FLOOR)
         h = h / h.sum()
     else:
-        # 1 ** x == 1 exactly, so an order-0 model's prior mean stays ones.
-        eta = inv = np.ones(model.n_components)
-        h = eta / eta.sum()
-    # Every refinement overwrites h, which is new for this frame.
-    work = (np.empty_like(h), np.empty_like(xf))
+        base = np.ones(model.n_components)
+        h = base / base.sum()
     for r in range(1, state.inner_iters + 1):
-        if dynamic:
-            eta = base ** (state.anneal / r)
-            inv = 1.0 / eta
-        _em_step(xf, model.basis, eta, h, inv, work)
+        # 1 ** x == 1 exactly, so an order-0 model's prior mean stays base.
+        eta = base ** (state.anneal / r) if model.order >= 1 else base
+        h = _em_step(xf, model.basis, eta, h)
     state.history.append(h)
     return h
 
@@ -569,19 +525,13 @@ def filter_stream(state: FilterState, frames: Array) -> Array:
     np.ndarray
         Coefficients of shape (model.n_components, n_frames); each column
         lies on the simplex.
-
-    Raises
-    ------
-    FloatingPointError
-        If float64 overflows, as finite lag entries near 1e308 can make it.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] != state.model.n_features:
         raise ValueError(f"frames must be 2-D with {state.model.n_features} rows")
     h = np.empty((state.model.n_components, frames.shape[1]))
-    with _float64_guard("filtering"):
-        for t in range(frames.shape[1]):
-            h[:, t] = filter_frame(state, frames[:, t])
+    for t in range(frames.shape[1]):
+        h[:, t] = filter_frame(state, frames[:, t])
     return h
 
 
