@@ -67,7 +67,9 @@ def load_model(path: str) -> tuple[DnmfModel, float, dict]:
 
     :class:`DnmfModel` checks shapes, signs, finiteness and the column sums
     of the basis; drift in those sums between 1e-9 and its 1e-6 tolerance is
-    renormalized away with a warning.  Any malformed document raises
+    renormalized away with a warning.  ``format_version``, ``K``, ``I`` and
+    ``J`` must be JSON integers and ``train_q`` a JSON number (``true``,
+    ``9.0`` and ``"0.5"`` are not).  Any malformed document raises
     ``ValueError`` naming the file.
     """
     try:
@@ -77,18 +79,23 @@ def load_model(path: str) -> tuple[DnmfModel, float, dict]:
         raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: model document must be a JSON object")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: unsupported format_version {doc.get('format_version')!r}"
-        )
+    version = doc.get("format_version")
+    if not _is_json_int(version) or version != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported format_version {version!r}")
     try:
         model = DnmfModel(basis=doc["W"], lags=list(doc["A"]))
         sizes = (doc["K"], doc["I"], doc["J"])
-        train_q = float(doc["train_q"])
+        for key, size in zip("KIJ", sizes):
+            if not _is_json_int(size):
+                raise TypeError(f"{key} must be a JSON integer, got {size!r}")
+        train_q = doc["train_q"]
+        if not (_is_json_int(train_q) or isinstance(train_q, float)):
+            raise TypeError(f"train_q must be a JSON number, got {train_q!r}")
+        train_q = float(train_q)
         metadata = dict(doc.get("metadata", {}))
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     if (model.n_features, model.n_components, model.order) != sizes:
         raise ValueError(f"{path}: model sizes do not match the K/I/J fields")
@@ -100,6 +107,11 @@ def load_model(path: str) -> tuple[DnmfModel, float, dict]:
         )
         model.basis = model.basis / model.basis.sum(axis=0)
     return model, train_q, metadata
+
+
+def _is_json_int(value) -> bool:
+    """Whether ``json.load`` read ``value`` from an integer literal."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _load_training_matrix(path: str, fft_size: int, hop: int) -> np.ndarray:

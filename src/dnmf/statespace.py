@@ -126,8 +126,10 @@ class FilterState:
     Holds the model, a ring buffer with the last ``model.order`` coefficient
     vectors, the number of EM refinements per frame, and the annealing
     exponent applied to predictions (``prediction ** (anneal / r)`` at inner
-    iteration ``r``).  Filtering is fully deterministic: identical state and
-    identical frames produce bit-identical coefficient streams.
+    iteration ``r``).  The lag matrices are stacked for prediction once,
+    here, so later changes to ``model.lags`` do not reach the state.
+    Filtering is fully deterministic: identical state and identical frames
+    produce bit-identical coefficient streams.
     """
 
     def __init__(
@@ -144,19 +146,24 @@ class FilterState:
         self.anneal = float(anneal)
         self.inner_iters = int(inner_iters)
         self.history: deque[Array] = deque(maxlen=model.order)
+        self._lag_stack = np.hstack(model.lags[::-1]) if model.order else None
 
 
-def _predict(lags: list[Array], history) -> Array:
-    """``sum_j lags[j-1] @ history[-j]``, all-ones where ``history`` is short."""
-    n = len(history)
-    eta = None
-    for j, a in enumerate(lags, start=1):
-        past = history[n - j] if j <= n else np.ones(a.shape[0])
-        if eta is None:
-            eta = a @ past
-        else:
-            eta += a @ past
-    return eta
+def _predict(lag_stack: Array, window) -> Array:
+    """AR prediction ``[A_J ... A_1] @ [h_{t-J}; ...; h_{t-1}]`` in one matvec.
+
+    ``lag_stack`` holds the lag matrices side by side, oldest lag first, shape
+    (I, J * I).  ``window`` holds the latest coefficient vectors, oldest
+    first: a (J, I) array, or a sequence of at most J vectors.  All-ones
+    vectors stand in for the missing older ones.
+    """
+    if isinstance(window, np.ndarray):
+        past = window.ravel()
+    else:
+        past = np.concatenate(window) if window else np.empty(0)
+    if past.size < lag_stack.shape[1]:
+        past = np.concatenate((np.ones(lag_stack.shape[1] - past.size), past))
+    return lag_stack @ past
 
 
 def _predict_all(lags: list[Array], h: Array) -> Array:
@@ -170,8 +177,8 @@ _BETA_MAX_ITER = 200
 # Relative bracket width at which solve_beta stops: a few ulps.
 _BETA_RESOLUTION = 8.0 * np.finfo(np.float64).eps
 
-# The ufunc reductions behind ndarray.sum/min/max, without the method wrapper.
-_sum, _min, _max = np.add.reduce, np.minimum.reduce, np.maximum.reduce
+# The ufunc reductions behind ndarray.sum/min, without the method wrapper.
+_sum, _min = np.add.reduce, np.minimum.reduce
 
 
 def solve_beta(c: Array, eta: Array) -> float:
@@ -213,7 +220,9 @@ def solve_beta(c: Array, eta: Array) -> float:
     if c.size == 0:
         raise ValueError("counts must have positive total")
     total = float(_sum(c))
-    c_min, eta_min, eta_max = _min(c), _min(eta), _max(eta)
+    # The largest eta has the smallest 1/eta: on full support it is the pole.
+    k = eta.argmax()
+    c_min, eta_min, eta_max = _min(c), _min(eta), eta[k]
     # A NaN or infinite entry makes the total or an extreme of eta non-finite.
     if not all(map(math.isfinite, (total, eta_min, eta_max))):
         raise ValueError("counts and prior means must be finite")
@@ -231,7 +240,7 @@ def solve_beta(c: Array, eta: Array) -> float:
     else:
         support = c > 0.0
         cs, inv = c[support], 1.0 / eta[support]
-    k = inv.argmin()
+        k = inv.argmin()
     pole = -float(inv[k])
 
     # Closed-form bracket.  The term with the smallest 1/eta alone gives
@@ -396,6 +405,18 @@ def train(
     (model, h) : tuple
         The fitted :class:`DnmfModel` and the final simplex coefficients of
         shape (rank, T).
+
+    Raises
+    ------
+    ValueError
+        For data that is not a finite, nonnegative 2-D matrix, and for
+        ``rank < 1`` or ``order < 0``.  Float64 overflow (finite entries
+        near 1e308) ends the same way: numpy first prints
+        ``RuntimeWarning``s, then the normalizer raises
+        ``ValueError("counts and prior means must be finite")``.  Under
+        ``np.errstate(over="raise", invalid="raise", divide="raise")``, as
+        the CLI runs, the first overflow raises ``FloatingPointError``
+        instead.
     """
     cfg = config if config is not None else TrainConfig()
     data = nonneg_matrix(x, name="data")
@@ -416,34 +437,42 @@ def train(
     w = normalize_columns(xf[:, picks] / xf[:, picks].mean(axis=0) + jitter)
     h = normalize_columns(rng.uniform(0.1, 1.1, size=(rank, nframes)))
     lags = [rng.uniform(0.1, 1.1, size=(rank, rank)) for _ in range(order)]
+    # The lag matrices side by side, [A_1 ... A_J], as estimate_nvar fits them;
+    # they are split into the model's list once, after the last iteration.
+    stacked = np.hstack(lags) if order else None
 
+    ratio = np.empty_like(xf)  # x / (W @ h), rewritten in place each iteration
     for it in range(1, cfg.iters + 1):
         # E-step and basis update depend only on the previous iterate.
         hs = np.maximum(h, EPS)
-        ratio = xf / np.maximum(w @ hs, EPS)
-        counts = hs * (w.T @ ratio)
+        np.matmul(w, hs, out=ratio)
+        np.maximum(ratio, EPS, out=ratio)
+        np.divide(xf, ratio, out=ratio)
+        counts = w.T @ ratio
+        counts *= hs
         w = normalize_columns(w * (ratio @ hs.T))
         if order == 0 or it <= cfg.prior_start:
             # Uniform prior means: every frame decouples.
-            h = counts / counts.sum(axis=0)
+            counts /= counts.sum(axis=0)
+            h = counts
         else:
             # Time-major history: ``order`` all-ones rows, then one row per
             # frame; rows before ``order + t`` already hold this iteration's
-            # estimates, so rows t .. t + order - 1 are frame t's past.
+            # estimates, so rows t .. t + order - 1 are frame t's past, and
+            # the reversed stack [A_J ... A_1] predicts from them in one matvec.
             hist = np.ones((order + nframes, rank))
             counts_t = np.ascontiguousarray(counts.T)
+            lag_stack = np.hstack(np.hsplit(stacked, order)[::-1])
             for t in range(nframes):
-                pred = np.maximum(_predict(lags, hist[t : t + order]), EPS)
-                _simplex_update(counts_t[t], pred ** cfg.anneal, out=hist[order + t])
+                pred = _predict(lag_stack, hist[t : t + order])
+                np.maximum(pred, EPS, out=pred)
+                pred **= cfg.anneal
+                _simplex_update(counts_t[t], pred, out=hist[order + t])
             h = np.ascontiguousarray(hist[order:].T)
         if order > 0 and it >= cfg.prior_start:
-            v = build_lag_matrix(h, order)
-            stacked = estimate_nvar(h, np.hstack(lags), v, sweeps=1)
-            lags = [
-                stacked[:, j * rank : (j + 1) * rank].copy() for j in range(order)
-            ]
+            stacked = estimate_nvar(h, stacked, build_lag_matrix(h, order), sweeps=1)
 
-    return DnmfModel(basis=w, lags=lags), h
+    return DnmfModel(basis=w, lags=np.hsplit(stacked, order) if order else []), h
 
 
 # Floor applied to the prediction before it seeds the EM refinement.  The
@@ -480,6 +509,15 @@ def filter_frame(state: FilterState, x: Array) -> Array:
     -------
     np.ndarray
         Coefficients on the simplex, length ``model.n_components``.
+
+    Raises
+    ------
+    ValueError
+        For a frame of the wrong length or with a negative, NaN or
+        infinite entry, and, after numpy's ``RuntimeWarning``s, for float64
+        overflow in the prediction or the refinement (as in :func:`train`,
+        whose note on ``np.errstate`` applies here too).  ``state`` is then
+        left unchanged.
     """
     model = state.model
     x = np.asarray(x, dtype=np.float64)
@@ -492,7 +530,7 @@ def filter_frame(state: FilterState, x: Array) -> Array:
     xf = xf / xf.sum()
 
     if model.order >= 1:
-        pred = _predict(model.lags, state.history)
+        pred = _predict(state._lag_stack, state.history)
         base = np.maximum(pred, EPS)
         h = np.maximum(pred, _INIT_FLOOR)
         h = h / h.sum()
@@ -525,6 +563,13 @@ def filter_stream(state: FilterState, frames: Array) -> Array:
     np.ndarray
         Coefficients of shape (model.n_components, n_frames); each column
         lies on the simplex.
+
+    Raises
+    ------
+    ValueError
+        For ``frames`` that are not 2-D with ``model.n_features`` rows, and
+        wherever :func:`filter_frame` raises, float64 overflow included;
+        the frames before the failing one stay in ``state``'s history.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] != state.model.n_features:

@@ -124,6 +124,29 @@ def test_load_model_rejects_bad_documents(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("format_version", True), ("K", 9.0), ("I", 3.0), ("J", 1.0), ("J", True),
+     ("train_q", "0.5"), ("train_q", False), ("train_q", 10 ** 400)],
+    ids=["version-true", "K-float", "I-float", "J-float", "J-true", "q-str", "q-false",
+         "q-huge-int"],
+)
+def test_type_confused_model_fields_exit_2(tmp_path, capsys, field, value):
+    # Each value compares equal to, or converts to, what the field should hold.
+    args = _separate_args(tmp_path, np.random.default_rng(19), 800)
+    doc = json.loads(Path(args[4]).read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(doc, **{field: value})))
+    with pytest.raises(ValueError, match=re.escape(str(bad))):
+        load_model(str(bad))
+    outs = [tmp_path / "o1.wav", tmp_path / "o2.wav"]
+    argv = args[:4] + [str(bad)] + args[5:] + ["--out1", str(outs[0]), "--out2", str(outs[1])]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
+    assert not any(p.exists() for p in outs)
+
+
 def test_load_model_renormalizes_small_drift(tmp_path):
     rng = np.random.default_rng(5)
     model = _small_model(rng)
@@ -710,3 +733,47 @@ def test_mutated_model_documents_fail_cleanly(mutation, command, second):
             assert len(lines) == 1
             assert lines[0].startswith(("error:", "numerical failure:"))
             assert not any(p.exists() for p in outs)
+
+
+def _wav_header_mutations():
+    """A cut length and header bit flips for an 8 kHz, 800-sample WAV (44-byte header)."""
+    return st.tuples(
+        st.one_of(st.none(), st.integers(0, 60), st.integers(0, 44 + 2 * 800)),
+        st.lists(st.integers(0, 44 * 8 - 1), max_size=3),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutation=_wav_header_mutations(), command=st.sampled_from(["train", "track", "denoise"]))
+def test_mutated_wav_headers_fail_cleanly(mutation, command):
+    cut, flips = mutation
+    rng = np.random.default_rng(20)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        args = _separate_args(tmp, rng, 800)
+        wav, model = Path(args[2]), args[4]
+        raw = bytearray(wav.read_bytes()[:cut])
+        for bit in flips:
+            if bit // 8 < len(raw):
+                raw[bit // 8] ^= 1 << (bit % 8)
+        wav.write_bytes(bytes(raw))
+        out = tmp / "out"
+        if command == "train":
+            argv = ["train", str(wav), "--rank", "2", "--iters", "2", "--m", "1",
+                    "--fft", "64", "--hop", "32", "--out", str(out)]
+        elif command == "track":
+            argv = ["track", str(wav), "--out", str(out)]
+        else:
+            argv = ["denoise", "--input", str(wav), "--speech-model", model,
+                    "--noise-model", model, "--out", str(out)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert out.exists()
+        else:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith(("error:", "numerical failure:"))
+            assert not out.exists()

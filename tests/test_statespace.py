@@ -49,6 +49,11 @@ def _bisect_beta(c, eta, steps=200):
     return 0.5 * (lo + hi)
 
 
+def _stack(lags):
+    """The reversed lag stack ``[A_J ... A_1]`` that ``_predict`` takes."""
+    return np.hstack(lags[::-1])
+
+
 def _random_model(rng, k=6, i=3, order=1):
     basis = normalize_columns(rng.uniform(0.05, 1.0, size=(k, i)))
     lags = [rng.uniform(0.1, 0.9, size=(i, i)) for _ in range(order)]
@@ -192,27 +197,64 @@ def _solve_beta_newton(c, eta):
     raise AssertionError("reference normalizer did not converge")
 
 
-def test_solve_beta_matches_newton_reference():
+def _assert_matches_newton_reference(c, eta):
     # Newton on 1/g takes other steps than the reference's Newton on g, so
     # the roots agree to the tolerance, and each carries the solver's own
     # certificate: a residual within _BETA_TOL, or a bracket of a few ulps.
+    beta, want = solve_beta(c, eta), _solve_beta_newton(c, eta)
+    assert abs(beta - want) <= 1e-11 * abs(want)
+    cs, inv = c[c > 0.0], 1.0 / eta[c > 0.0]
+
+    def g(b):
+        return float((cs / (b + inv)).sum())
+
+    half = 0.5 * 8.0 * np.finfo(np.float64).eps * max(1.0, abs(beta))
+    assert abs(g(beta) - 1.0) <= 1e-12 or g(beta - half) >= 1.0 >= g(beta + half)
+
+
+def test_solve_beta_matches_newton_reference():
     rng = np.random.default_rng(22)
-    resolution = 8.0 * np.finfo(np.float64).eps
     for _ in range(200):
         n = int(rng.integers(1, 40))
         c = rng.uniform(0.0, 2.0, size=n)
         c[rng.uniform(size=n) < 0.3] = 0.0
         c[rng.integers(n)] = 0.7
         eta = rng.uniform(1e-2, 1e2, size=n)
-        beta, want = solve_beta(c, eta), _solve_beta_newton(c, eta)
-        assert abs(beta - want) <= 1e-11 * abs(want)
-        cs, inv = c[c > 0.0], 1.0 / eta[c > 0.0]
+        _assert_matches_newton_reference(c, eta)
 
-        def g(b):
-            return float((cs / (b + inv)).sum())
 
-        half = 0.5 * resolution * max(1.0, abs(beta))
-        assert abs(g(beta) - 1.0) <= 1e-12 or g(beta - half) >= 1.0 >= g(beta + half)
+def _reciprocal_twins(rng, count):
+    """Distinct floats ``x < y`` with ``1.0 / x == 1.0 / y``."""
+    twins = []
+    while len(twins) < count:
+        # Just below a power of two, float64 is twice as fine as just above
+        # the reciprocal's power of two, so neighbours share a reciprocal.
+        y = np.nextafter(2.0 ** int(rng.integers(-6, 7)), 0.0)
+        for _ in range(int(rng.integers(0, 64))):
+            y = np.nextafter(y, 0.0)
+        x = np.nextafter(y, 0.0)
+        if 1.0 / x == 1.0 / y:
+            twins.append((float(x), float(y)))
+    return twins
+
+
+def test_solve_beta_pole_ties_match_newton_reference():
+    # The pole index comes from eta.argmax() on full support.  Exact ties in
+    # eta, and distinct eta values whose reciprocals round equal, give the
+    # same pole from another index, so another but equally valid bracket.
+    rng = np.random.default_rng(23)
+    for x, y in _reciprocal_twins(rng, 100):
+        n = int(rng.integers(2, 30))
+        eta = rng.uniform(1e-3, 0.9, size=n) * x
+        slots = rng.choice(n, size=2, replace=False)
+        kind = rng.choice(["tie", "twin", "twin-masked"])
+        eta[slots] = (y, y) if kind == "tie" else (x, y)
+        c = rng.uniform(0.01, 2.0, size=n)
+        if kind == "twin-masked":
+            c[slots[1]] = 0.0
+        c *= rng.choice([1e-3, 1.0, 1e3])
+        assert 1.0 / eta[slots[0]] == 1.0 / eta[slots[1]] == (1.0 / eta).min()
+        _assert_matches_newton_reference(c, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +304,10 @@ def test_predict_state_hand_values():
     lag = np.array([[0.5, 0.1], [0.2, 0.3]])
     model = DnmfModel(basis=np.eye(2), lags=[lag])
     np.testing.assert_allclose(
-        _predict(model.lags, [np.array([1.0, 0.0])]), [0.5, 0.2]
+        _predict(_stack(model.lags), [np.array([1.0, 0.0])]), [0.5, 0.2]
     )
     # No history yet: the missing lag is an all-ones vector.
-    np.testing.assert_allclose(_predict(model.lags, []), [0.6, 0.5])
+    np.testing.assert_allclose(_predict(_stack(model.lags), []), [0.6, 0.5])
 
 
 def test_predict_state_two_lags_partial_history():
@@ -273,8 +315,25 @@ def test_predict_state_two_lags_partial_history():
     a2 = np.array([[0.0, 0.25], [0.25, 0.0]])
     model = DnmfModel(basis=np.eye(2), lags=[a1, a2])
     # One stored vector: lag 1 sees it, lag 2 falls back to ones.
-    got = _predict(model.lags, [np.array([0.4, 0.6])])
+    got = _predict(_stack(model.lags), [np.array([0.4, 0.6])])
     np.testing.assert_allclose(got, [0.5 * 0.4 + 0.25, 0.5 * 0.6 + 0.25])
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_predict_stacked_matches_per_lag_sum(order):
+    # One matvec on the stacked lags against one matvec per lag, summed;
+    # windows shorter than the order pad the older lags with ones.
+    rng = np.random.default_rng(90 + order)
+    for _ in range(20):
+        i = int(rng.integers(1, 50))
+        lags = [rng.uniform(0.0, 2.0, size=(i, i)) for _ in range(order)]
+        h = rng.uniform(0.0, 1.0, size=(order, i))
+        for n in range(order + 1):
+            past = [np.ones(i)] * (order - n) + list(h[order - n :])
+            want = sum(a @ past[order - j] for j, a in enumerate(lags, start=1))
+            for window in (h[order - n :], list(h[order - n :])):
+                got = _predict(_stack(lags), window)
+                np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
 def test_build_lag_matrix_hand_case():
@@ -431,7 +490,8 @@ def _train_per_frame(x, rank, order, cfg):
                 h_old = np.maximum(h[:, t], EPS)
                 ratio = xf[:, t] / np.maximum(w @ h_old, EPS)
                 w_acc += np.outer(ratio, h_old)
-                pred = np.maximum(_predict(lags, h_new[:, :t].T), EPS)
+                window = h_new[:, max(t - order, 0) : t].T
+                pred = np.maximum(_predict(_stack(lags), window), EPS)
                 h_new[:, t] = _simplex_update(
                     h_old * (w.T @ ratio), pred ** cfg.anneal
                 )
@@ -486,7 +546,8 @@ def _train_columnwise(x, rank, order, cfg):
             h = counts / counts.sum(axis=0)
         else:
             for t in range(nframes):
-                pred = np.maximum(_predict(lags, h[:, :t].T), EPS)
+                window = h[:, max(t - order, 0) : t].T
+                pred = np.maximum(_predict(_stack(lags), window), EPS)
                 h[:, t] = _simplex_update(counts[:, t], pred ** cfg.anneal)
         if order > 0 and it >= cfg.prior_start:
             stacked = estimate_nvar(h, np.hstack(lags), build_lag_matrix(h, order))
