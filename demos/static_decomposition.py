@@ -10,7 +10,7 @@ prototypes.
 
 import numpy as np
 
-from dnmf import fit_static_plca, is_divergence, reconstruct
+from dnmf import fit_static_plca, is_divergence
 
 # Two overlapping Gaussian bumps over 48 frequency bins play the role of
 # spectral prototypes; their gains trade off sinusoidally over 120 frames.
@@ -30,7 +30,7 @@ mass = x.sum(axis=0)
 print("EM progress (rank 2):")
 for iters in (1, 5, 25, 100):
     w, h = fit_static_plca(x, rank=2, iters=iters, seed=0)
-    div = is_divergence(x, reconstruct(w, h, mass))
+    div = is_divergence(x, (w @ h) * mass)
     print(f"  iters={iters:3d}  divergence={div:10.4f}")
 
 # The learned dictionary columns should line up with the prototypes (in

@@ -18,7 +18,6 @@ from .plca import (
     fit_static_plca,
     is_nmf_update_h,
     is_nmf_update_w,
-    reconstruct,
 )
 from .statespace import (
     ConvergenceError,
@@ -30,6 +29,7 @@ from .statespace import (
     estimate_nvar,
     filter_frame,
     filter_stream,
+    lag_fit_divergence,
     map_objective,
     solve_beta,
     train,
@@ -48,7 +48,6 @@ __all__ = [
     "is_nmf_update_h",
     "is_nmf_update_w",
     "fit_static_plca",
-    "reconstruct",
     "ConvergenceError",
     "DnmfModel",
     "TrainConfig",
@@ -60,6 +59,7 @@ __all__ = [
     "filter_frame",
     "filter_stream",
     "map_objective",
+    "lag_fit_divergence",
     "concat_models",
     "stft",
     "istft",

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .core import EPS, is_divergence
+from .core import normalize_columns
 from .dsp import istft, stft
 from .experiments import (
     SeparationScenario,
@@ -29,8 +29,8 @@ from .statespace import (
     DnmfModel,
     FilterState,
     TrainConfig,
-    _predict_all,
     filter_stream,
+    lag_fit_divergence,
     map_objective,
     train,
 )
@@ -105,7 +105,7 @@ def load_model(path: str) -> tuple[DnmfModel, float, dict]:
             f"{path}: renormalizing basis columns (deviation {err:.3e})",
             stacklevel=2,
         )
-        model.basis = model.basis / model.basis.sum(axis=0)
+        model.basis = normalize_columns(model.basis)
     return model, train_q, metadata
 
 
@@ -142,8 +142,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(f"components: {args.rank}  order: {args.order}  frames: {mag.shape[1]}")
     print(f"objective: {objective:.10g}")
     if model.order >= 1:
-        div = is_divergence(np.maximum(h, EPS), _predict_all(model.lags, h))
-        print(f"lag_fit_is_divergence: {div:.10g}")
+        print(f"lag_fit_is_divergence: {lag_fit_divergence(model, h):.10g}")
     save_model(
         model,
         args.out,
@@ -328,7 +327,8 @@ def main(argv=None) -> int:
         # inf/NaN on until some later check misreports it as bad input.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
-    except (ValueError, OSError) as exc:
+    # MemoryError: a size flag (--rank, --order) beyond the machine's memory.
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, FloatingPointError, np.linalg.LinAlgError) as exc:

@@ -18,7 +18,6 @@ __all__ = [
     "is_nmf_update_h",
     "is_nmf_update_w",
     "fit_static_plca",
-    "reconstruct",
 ]
 
 
@@ -82,9 +81,3 @@ def fit_static_plca(
     cfg = TrainConfig(iters=iters, prior_start=0, seed=seed)
     model, h = train(x, rank, 0, cfg)
     return model.basis, h
-
-
-def reconstruct(w: Array, h: Array, frame_mass: Array) -> Array:
-    """Expected data under the multinomial view: column t is
-    ``frame_mass[t] * w @ h[:, t]``."""
-    return (w @ h) * np.asarray(frame_mass, dtype=np.float64)[np.newaxis, :]

@@ -24,12 +24,12 @@ tracking behaviour independent of the signal's loudness.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import EPS, Array, nonneg_matrix, normalize_columns, stochastic_matrix
+from .core import EPS, Array, is_divergence, nonneg_matrix, normalize_columns, stochastic_matrix
 from .plca import is_nmf_update_w
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "filter_frame",
     "filter_stream",
     "map_objective",
+    "lag_fit_divergence",
     "concat_models",
 ]
 
@@ -123,11 +124,13 @@ class TrainConfig:
 class FilterState:
     """Mutable state for causal, frame-by-frame coefficient estimation.
 
-    Holds the model, a ring buffer with the last ``model.order`` coefficient
-    vectors, the number of EM refinements per frame, and the annealing
-    exponent applied to predictions (``prediction ** (anneal / r)`` at inner
-    iteration ``r``).  The lag matrices are stacked for prediction once,
-    here, so later changes to ``model.lags`` do not reach the state.
+    Holds the model, the coefficient history, the number of EM refinements
+    per frame, and the annealing exponent applied to predictions
+    (``prediction ** (anneal / r)`` at inner iteration ``r``).  ``history``
+    is an oldest-first ``(order, n_components)`` array that starts as all
+    ones (the padding for missing lags).  The lags are stacked once, here,
+    as ``[A_J ... A_1]``, so a prediction is one matvec with the raveled
+    history, and later changes to ``model.lags`` do not reach the state.
     Filtering is fully deterministic: identical state and identical frames
     produce bit-identical coefficient streams.
     """
@@ -145,30 +148,18 @@ class FilterState:
         self.model = model
         self.anneal = float(anneal)
         self.inner_iters = int(inner_iters)
-        self.history: deque[Array] = deque(maxlen=model.order)
-        self._lag_stack = np.hstack(model.lags[::-1]) if model.order else None
+        self.history = np.ones((model.order, model.n_components))
+        self._lag_stack = _stack_lags(model.lags) if model.order else None
 
 
-def _predict(lag_stack: Array, window) -> Array:
-    """AR prediction ``[A_J ... A_1] @ [h_{t-J}; ...; h_{t-1}]`` in one matvec.
-
-    ``lag_stack`` holds the lag matrices side by side, oldest lag first, shape
-    (I, J * I).  ``window`` holds the latest coefficient vectors, oldest
-    first: a (J, I) array, or a sequence of at most J vectors.  All-ones
-    vectors stand in for the missing older ones.
-    """
-    if isinstance(window, np.ndarray):
-        past = window.ravel()
-    else:
-        past = np.concatenate(window) if window else np.empty(0)
-    if past.size < lag_stack.shape[1]:
-        past = np.concatenate((np.ones(lag_stack.shape[1] - past.size), past))
-    return lag_stack @ past
+def _stack_lags(lags) -> Array:
+    """The lag matrices side by side, oldest lag first: ``[A_J ... A_1]``."""
+    return np.hstack(lags[::-1])
 
 
 def _predict_all(lags: list[Array], h: Array) -> Array:
     """Unannealed prediction for every column of ``h`` at once, floored at EPS."""
-    return np.maximum(np.hstack(lags) @ build_lag_matrix(h, len(lags)), EPS)
+    return np.maximum(_stack_lags(lags) @ build_lag_matrix(h, len(lags)), EPS)
 
 
 # Convergence threshold on |g(beta) - 1| and step budget of solve_beta.
@@ -308,8 +299,9 @@ def _em_step(xf: Array, w: Array, eta: Array, h: Array) -> Array:
 def build_lag_matrix(h: Array, order: int) -> Array:
     """Stack lagged coefficient columns for autoregression fitting.
 
-    Column ``t`` of the result is the concatenation of ``h[:, t-1]``,
-    ``h[:, t-2]``, ..., ``h[:, t-order]``; out-of-range lags are all-ones.
+    Column ``t`` of the result is ``[h[:, t-order]; ...; h[:, t-1]]``, oldest
+    lag first, the layout of the stacked lags ``[A_J ... A_1]`` throughout
+    this module; lags before the first frame are all-ones.
 
     Parameters
     ----------
@@ -329,11 +321,10 @@ def build_lag_matrix(h: Array, order: int) -> Array:
     if order < 1:
         raise ValueError("order must be at least 1")
     ncomp, nframes = h.shape
-    v = np.ones((ncomp * order, nframes))
-    for j in range(1, order + 1):
-        if nframes > j:
-            v[(j - 1) * ncomp : j * ncomp, j:] = h[:, : nframes - j]
-    return v
+    hist = np.vstack((np.ones((order, ncomp)), h.T))
+    # Windows of the flat history, one frame (ncomp entries) apart.
+    windows = sliding_window_view(hist.ravel(), order * ncomp)[::ncomp]
+    return np.ascontiguousarray(windows[:nframes].T)
 
 
 def estimate_nvar(h: Array, a: Array, v: Array, sweeps: int = 1) -> Array:
@@ -349,7 +340,8 @@ def estimate_nvar(h: Array, a: Array, v: Array, sweeps: int = 1) -> Array:
     h : np.ndarray
         Coefficient trajectories, shape (I, T).
     a : np.ndarray
-        Current stacked lag matrices, shape (I, I * order), nonnegative.
+        Current stacked lag matrices ``[A_J ... A_1]`` (the layout of
+        ``v``'s rows), shape (I, I * order), nonnegative.
     v : np.ndarray
         Lag matrix from :func:`build_lag_matrix`, shape (I * order, T).
     sweeps : int
@@ -387,7 +379,9 @@ def train(
     ``prior_start``, which normalizes the counts in bulk; afterwards each
     frame's simplex update uses the annealed prediction built from the lag
     matrices and the already-updated coefficients of earlier frames, and
-    this prediction-driven update is the only sequential step.
+    this prediction-driven update is the only sequential step.  The lags
+    stay stacked as ``[A_J ... A_1]`` for the whole run and are split into
+    ``model.lags`` once, at the end.
 
     Parameters
     ----------
@@ -404,7 +398,7 @@ def train(
     -------
     (model, h) : tuple
         The fitted :class:`DnmfModel` and the final simplex coefficients of
-        shape (rank, T).
+        shape (rank, T); :func:`lag_fit_divergence` scores their lag fit.
 
     Raises
     ------
@@ -436,10 +430,8 @@ def train(
     jitter = rng.uniform(0.05, 0.15, size=(nfeat, rank))
     w = normalize_columns(xf[:, picks] / xf[:, picks].mean(axis=0) + jitter)
     h = normalize_columns(rng.uniform(0.1, 1.1, size=(rank, nframes)))
-    lags = [rng.uniform(0.1, 1.1, size=(rank, rank)) for _ in range(order)]
-    # The lag matrices side by side, [A_1 ... A_J], as estimate_nvar fits them;
-    # they are split into the model's list once, after the last iteration.
-    stacked = np.hstack(lags) if order else None
+    # The lags side by side, [A_J ... A_1], until they are split at the end.
+    stacked = _stack_lags(rng.uniform(0.1, 1.1, size=(order, rank, rank))) if order else None
 
     ratio = np.empty_like(xf)  # x / (W @ h), rewritten in place each iteration
     for it in range(1, cfg.iters + 1):
@@ -457,14 +449,12 @@ def train(
             h = counts
         else:
             # Time-major history: ``order`` all-ones rows, then one row per
-            # frame; rows before ``order + t`` already hold this iteration's
-            # estimates, so rows t .. t + order - 1 are frame t's past, and
-            # the reversed stack [A_J ... A_1] predicts from them in one matvec.
+            # frame; rows t .. t + order - 1 are frame t's past, already
+            # updated in this iteration, as [A_J ... A_1] expects them.
             hist = np.ones((order + nframes, rank))
             counts_t = np.ascontiguousarray(counts.T)
-            lag_stack = np.hstack(np.hsplit(stacked, order)[::-1])
             for t in range(nframes):
-                pred = _predict(lag_stack, hist[t : t + order])
+                pred = stacked @ hist[t : t + order].ravel()
                 np.maximum(pred, EPS, out=pred)
                 pred **= cfg.anneal
                 _simplex_update(counts_t[t], pred, out=hist[order + t])
@@ -472,7 +462,7 @@ def train(
         if order > 0 and it >= cfg.prior_start:
             stacked = estimate_nvar(h, stacked, build_lag_matrix(h, order), sweeps=1)
 
-    return DnmfModel(basis=w, lags=np.hsplit(stacked, order) if order else []), h
+    return DnmfModel(basis=w, lags=np.hsplit(stacked, order)[::-1] if order else []), h
 
 
 # Floor applied to the prediction before it seeds the EM refinement.  The
@@ -501,7 +491,8 @@ def filter_frame(state: FilterState, x: Array) -> Array:
     Parameters
     ----------
     state : FilterState
-        Model plus rolling history; mutated by appending the new estimate.
+        Model plus history; mutated by shifting the new estimate into the
+        last row of ``state.history``.
     x : np.ndarray
         Nonnegative observation, length ``model.n_features``.
 
@@ -530,7 +521,7 @@ def filter_frame(state: FilterState, x: Array) -> Array:
     xf = xf / xf.sum()
 
     if model.order >= 1:
-        pred = _predict(state._lag_stack, state.history)
+        pred = state._lag_stack @ state.history.ravel()
         base = np.maximum(pred, EPS)
         h = np.maximum(pred, _INIT_FLOOR)
         h = h / h.sum()
@@ -541,7 +532,9 @@ def filter_frame(state: FilterState, x: Array) -> Array:
         # 1 ** x == 1 exactly, so an order-0 model's prior mean stays base.
         eta = base ** (state.anneal / r) if model.order >= 1 else base
         h = _em_step(xf, model.basis, eta, h)
-    state.history.append(h)
+    if model.order >= 1:
+        state.history[:-1] = state.history[1:]
+        state.history[-1] = h
     return h
 
 
@@ -606,6 +599,18 @@ def map_objective(x: Array, model: DnmfModel, h: Array) -> float:
         eta = _predict_all(model.lags, h)
         val -= float((np.log(eta) + h / eta).sum())
     return val
+
+
+def lag_fit_divergence(model: DnmfModel, h: Array) -> float:
+    """How well the lags predict ``h`` (I, T): the ``dnmf train`` lag-fit figure.
+
+    Returns ``d_IS(max(h, EPS) || max(sum_j A_j h_{t-j}, EPS))``, all-ones
+    padding for missing lags.  Raises ``ValueError`` for an order-0 model
+    or for ``h`` of the wrong shape.
+    """
+    if model.order < 1:
+        raise ValueError("model has no lag matrices (order 0)")
+    return is_divergence(np.maximum(h, EPS), _predict_all(model.lags, h))
 
 
 def concat_models(first: DnmfModel, second: DnmfModel) -> DnmfModel:

@@ -596,6 +596,22 @@ def test_train_overflow_is_one_numerical_failure_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "sizes", [["--rank", str(10**15)], ["--rank", "2", "--order", str(10**15)]]
+)
+def test_oversized_rank_or_order_is_one_error_line(tmp_path, capsys, sizes):
+    # Each size asks for petabytes, beyond any address space, so the first
+    # allocation request fails at once and nothing is allocated.
+    csv = tmp_path / "tiny.csv"
+    np.savetxt(csv, np.ones((4, 6)), delimiter=",")
+    out = tmp_path / "m.json"
+    code = main(["train", str(csv), *sizes, "--iters", "2", "--m", "1", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["separate", "denoise"])
 def test_filter_overflow_is_one_numerical_failure_line(tmp_path, capsys, command):
     # Finite lag entries near 1e308 overflow the prediction.

@@ -8,8 +8,8 @@ from dnmf.core import EPS, is_divergence, normalize_columns
 from dnmf.experiments import TrackingScenario, run_tracking
 from dnmf.statespace import (
     _em_step,
-    _predict,
     _simplex_update,
+    _stack_lags,
     DnmfModel,
     FilterState,
     TrainConfig,
@@ -18,6 +18,7 @@ from dnmf.statespace import (
     estimate_nvar,
     filter_frame,
     filter_stream,
+    lag_fit_divergence,
     map_objective,
     solve_beta,
     train,
@@ -49,9 +50,20 @@ def _bisect_beta(c, eta, steps=200):
     return 0.5 * (lo + hi)
 
 
-def _stack(lags):
-    """The reversed lag stack ``[A_J ... A_1]`` that ``_predict`` takes."""
-    return np.hstack(lags[::-1])
+def _past(h, t, order):
+    """Frame ``t``'s past ``[h_{t-J}; ...; h_{t-1}]``, all-ones before frame 0."""
+    return build_lag_matrix(h[:, : t + 1], order)[:, t].copy()
+
+
+def _per_lag_prediction(lags, h):
+    """``sum_j A_j h_{t-j}`` for every column, one matvec per lag and frame."""
+    ones = np.ones(h.shape[0])
+    pred = np.empty_like(h)
+    for t in range(h.shape[1]):
+        pred[:, t] = sum(
+            a @ (h[:, t - j] if t >= j else ones) for j, a in enumerate(lags, start=1)
+        )
+    return pred
 
 
 def _random_model(rng, k=6, i=3, order=1):
@@ -302,48 +314,50 @@ def test_update_state_maximizes_frame_objective():
 
 def test_predict_state_hand_values():
     lag = np.array([[0.5, 0.1], [0.2, 0.3]])
-    model = DnmfModel(basis=np.eye(2), lags=[lag])
-    np.testing.assert_allclose(
-        _predict(_stack(model.lags), [np.array([1.0, 0.0])]), [0.5, 0.2]
-    )
-    # No history yet: the missing lag is an all-ones vector.
-    np.testing.assert_allclose(_predict(_stack(model.lags), []), [0.6, 0.5])
+    h = np.array([[1.0, 0.3], [0.0, 0.7]])
+    got = _stack_lags([lag]) @ build_lag_matrix(h, 1)
+    # Frame 0 has no history yet: the missing lag is an all-ones vector.
+    np.testing.assert_allclose(got[:, 0], [0.6, 0.5])
+    np.testing.assert_allclose(got[:, 1], [0.5, 0.2])
 
 
 def test_predict_state_two_lags_partial_history():
     a1 = np.array([[0.5, 0.0], [0.0, 0.5]])
     a2 = np.array([[0.0, 0.25], [0.25, 0.0]])
-    model = DnmfModel(basis=np.eye(2), lags=[a1, a2])
-    # One stored vector: lag 1 sees it, lag 2 falls back to ones.
-    got = _predict(_stack(model.lags), [np.array([0.4, 0.6])])
-    np.testing.assert_allclose(got, [0.5 * 0.4 + 0.25, 0.5 * 0.6 + 0.25])
+    h = np.array([[0.4, 0.1, 0.0], [0.6, 0.9, 0.0]])
+    got = _stack_lags([a1, a2]) @ build_lag_matrix(h, 2)
+    # Frame 0: both lags fall back to ones.
+    np.testing.assert_allclose(got[:, 0], [0.75, 0.75])
+    # Frame 1: lag 1 sees frame 0, lag 2 falls back to ones.
+    np.testing.assert_allclose(got[:, 1], [0.5 * 0.4 + 0.25, 0.5 * 0.6 + 0.25])
+    # Frame 2: lag 1 sees frame 1, lag 2 frame 0.
+    np.testing.assert_allclose(got[:, 2], [0.05 + 0.25 * 0.6, 0.45 + 0.25 * 0.4])
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_predict_stacked_matches_per_lag_sum(order):
-    # One matvec on the stacked lags against one matvec per lag, summed;
-    # windows shorter than the order pad the older lags with ones.
+    # One matvec of the stacked lags with each column of the lag matrix, as
+    # train and filter_frame predict, against one matvec per lag, summed;
+    # frames before the order pad with ones.
     rng = np.random.default_rng(90 + order)
     for _ in range(20):
         i = int(rng.integers(1, 50))
         lags = [rng.uniform(0.0, 2.0, size=(i, i)) for _ in range(order)]
-        h = rng.uniform(0.0, 1.0, size=(order, i))
-        for n in range(order + 1):
-            past = [np.ones(i)] * (order - n) + list(h[order - n :])
-            want = sum(a @ past[order - j] for j, a in enumerate(lags, start=1))
-            for window in (h[order - n :], list(h[order - n :])):
-                got = _predict(_stack(lags), window)
-                np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+        h = rng.uniform(0.0, 1.0, size=(i, order + 3))
+        v = build_lag_matrix(h, order)
+        got = np.stack([_stack_lags(lags) @ v[:, t].copy() for t in range(v.shape[1])], axis=1)
+        np.testing.assert_allclose(got, _per_lag_prediction(lags, h), rtol=1e-15, atol=0)
 
 
 def test_build_lag_matrix_hand_case():
     h = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     v = build_lag_matrix(h, 1)
     np.testing.assert_array_equal(v, [[1.0, 1.0, 2.0], [1.0, 4.0, 5.0]])
+    # Oldest lag first: rows 0-1 hold h_{t-2}, rows 2-3 hold h_{t-1}.
     v2 = build_lag_matrix(h, 2)
     assert v2.shape == (4, 3)
-    np.testing.assert_array_equal(v2[:2], v)
-    np.testing.assert_array_equal(v2[2:], [[1.0, 1.0, 1.0], [1.0, 1.0, 4.0]])
+    np.testing.assert_array_equal(v2[2:], v)
+    np.testing.assert_array_equal(v2[:2], [[1.0, 1.0, 1.0], [1.0, 1.0, 4.0]])
 
 
 def test_build_lag_matrix_validation():
@@ -490,16 +504,15 @@ def _train_per_frame(x, rank, order, cfg):
                 h_old = np.maximum(h[:, t], EPS)
                 ratio = xf[:, t] / np.maximum(w @ h_old, EPS)
                 w_acc += np.outer(ratio, h_old)
-                window = h_new[:, max(t - order, 0) : t].T
-                pred = np.maximum(_predict(_stack(lags), window), EPS)
+                pred = np.maximum(_stack_lags(lags) @ _past(h_new, t, order), EPS)
                 h_new[:, t] = _simplex_update(
                     h_old * (w.T @ ratio), pred ** cfg.anneal
                 )
             w = normalize_columns(w * w_acc)
             h = h_new
         if order > 0 and it >= cfg.prior_start:
-            stacked = estimate_nvar(h, np.hstack(lags), build_lag_matrix(h, order))
-            lags = [stacked[:, j * rank : (j + 1) * rank] for j in range(order)]
+            stacked = estimate_nvar(h, _stack_lags(lags), build_lag_matrix(h, order))
+            lags = np.hsplit(stacked, order)[::-1]
     return w, h, lags
 
 
@@ -546,12 +559,11 @@ def _train_columnwise(x, rank, order, cfg):
             h = counts / counts.sum(axis=0)
         else:
             for t in range(nframes):
-                window = h[:, max(t - order, 0) : t].T
-                pred = np.maximum(_predict(_stack(lags), window), EPS)
+                pred = np.maximum(_stack_lags(lags) @ _past(h, t, order), EPS)
                 h[:, t] = _simplex_update(counts[:, t], pred ** cfg.anneal)
         if order > 0 and it >= cfg.prior_start:
-            stacked = estimate_nvar(h, np.hstack(lags), build_lag_matrix(h, order))
-            lags = [stacked[:, j * rank : (j + 1) * rank].copy() for j in range(order)]
+            stacked = estimate_nvar(h, _stack_lags(lags), build_lag_matrix(h, order))
+            lags = np.hsplit(stacked, order)[::-1]
     return w, h, lags
 
 
@@ -654,12 +666,16 @@ def test_filter_frame_scale_invariant():
 
 def test_filter_frame_history_ring_buffer():
     rng = np.random.default_rng(76)
-    model = _random_model(rng, k=5, i=2, order=2)
+    model = _random_model(rng, k=5, i=2, order=3)
     state = FilterState(model)
-    assert len(state.history) == 0
-    for t in range(5):
-        filter_frame(state, rng.uniform(0.1, 1.0, size=5))
-        assert len(state.history) == min(t + 1, 2)
+    assert np.array_equal(state.history, np.ones((3, 2)))
+    outs = []
+    for t in range(1, 7):
+        outs.append(filter_frame(state, rng.uniform(0.1, 1.0, size=5)))
+        n = min(t, 3)
+        # Oldest first: the last n rows are the latest outputs, older rows ones.
+        assert np.array_equal(state.history[3 - n :], outs[-n:])
+        assert np.all(state.history[: 3 - n] == 1.0)
 
 
 def test_filter_frame_validation():
@@ -675,7 +691,7 @@ def test_filter_frame_validation():
         frame[2] = bad
         with pytest.raises(ValueError, match="nonnegative and finite"):
             filter_frame(state, frame)
-    assert len(state.history) == 0
+    assert np.array_equal(state.history, np.ones((1, 2)))
     with pytest.raises(ValueError):
         FilterState(model, anneal=0.0)
     with pytest.raises(ValueError):
@@ -752,7 +768,7 @@ def test_filter_stream_empty_and_validation():
     model = _random_model(rng, k=5, i=3, order=1)
     state = FilterState(model)
     assert filter_stream(state, np.zeros((5, 0))).shape == (3, 0)
-    assert len(state.history) == 0
+    assert np.array_equal(state.history, np.ones((1, 3)))
     with pytest.raises(ValueError):
         filter_stream(state, np.ones(5))
     with pytest.raises(ValueError):
@@ -780,3 +796,25 @@ def test_map_objective_prefers_better_reconstruction():
     x = basis @ h_good
     h_bad = np.roll(h_good, 1, axis=1)
     assert map_objective(x, model, h_good) >= map_objective(x, model, h_bad)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_lag_fit_divergence_matches_per_lag_sum(order):
+    rng = np.random.default_rng(95 + order)
+    model = _random_model(rng, k=6, i=4, order=order)
+    h = normalize_columns(rng.uniform(0.0, 1.0, size=(4, 12)))
+    h[1, 3] = 0.0  # floored at EPS
+    pred = _per_lag_prediction(model.lags, h)
+    want = is_divergence(np.maximum(h, EPS), np.maximum(pred, EPS))
+    assert lag_fit_divergence(model, h) == pytest.approx(want, rel=1e-12)
+
+
+def test_lag_fit_divergence_validation():
+    rng = np.random.default_rng(99)
+    with pytest.raises(ValueError, match="order 0"):
+        lag_fit_divergence(_random_model(rng, k=5, i=2, order=0), np.ones((2, 4)))
+    model = _random_model(rng, k=5, i=2, order=1)
+    with pytest.raises(ValueError):
+        lag_fit_divergence(model, np.ones((3, 4)))
+    with pytest.raises(ValueError):
+        lag_fit_divergence(model, np.ones(2))
