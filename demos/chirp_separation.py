@@ -57,16 +57,18 @@ for src, ref in ((1, s1), (2, mixture - s1)):
     mag = np.abs(stft(ref, nfft, hop))
     model, _ = train(mag, scenario.rank, 1, TrainConfig(seed=src * 9973))
     models.append(model)
-# separate_sources consumes the spectrogram and returns complex frames that
-# keep the mixture phase.
-est1, est2 = separate_sources(mix_spec, models[0], models[1], scenario.anneal)
+# separate_sources masks the spectrogram in place down to source 1's frames,
+# keeping the mixture phase.  istft is linear, so source 2 is the mixture's
+# resynthesis minus source 1.
+resynth = istft(mix_spec, hop)
+y1 = istft(separate_sources(mix_spec, models[0], models[1], scenario.anneal), hop)
+y2 = resynth - y1
 
 out_dir = "separated"
 os.makedirs(out_dir, exist_ok=True)
 peak = np.abs(mixture).max()
 write_wav(os.path.join(out_dir, "mixture.wav"), mixture / (2 * peak), sr)
-for name, est, ref in (("source1", est1, s1), ("source2", est2, mixture - s1)):
-    y = istft(est, hop)
+for name, y, ref in (("source1", y1, s1), ("source2", y2, mixture - s1)):
     n = min(y.shape[0], ref.shape[0])
     snr = output_snr(ref[:n], y[:n])
     path = os.path.join(out_dir, f"{name}.wav")

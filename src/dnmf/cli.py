@@ -158,16 +158,15 @@ def _separate_pipeline(
     mixture_path: str,
     model_a_path: str,
     model_b_path: str,
-    q: float,
     hop: int | None,
-    inner_iters: int,
 ):
-    """Split a mixture WAV with two models into both sources' STFT frames.
+    """Load both models and the mixture WAV's STFT for separation.
 
-    Returns ``(first, second, hop, n, rate)``: the complex frames of each
-    source, the hop that inverts them, the mixture's sample count (the
-    inverted signals are trimmed to it) and its sample rate.  Each command
-    inverts only the sources it writes.
+    Returns ``(spec, model_a, model_b, hop, n, rate)``: the mixture's complex
+    frames, the two models, the hop that inverts the frames, the mixture's
+    sample count (the inverted signals are trimmed to it) and its sample
+    rate.  Each command masks the frames with :func:`separate_sources` and
+    inverts only what it writes.
     """
     model_a, _, _ = load_model(model_a_path)
     model_b, _, _ = load_model(model_b_path)
@@ -185,19 +184,21 @@ def _separate_pipeline(
     # Zero-pad so the last frame reaches the final sample; outputs are trimmed to n.
     samples = np.pad(samples, (0, (fft_size - n) % hop))
     spec = stft(samples, fft_size, hop)
-    del samples
-    first, second = separate_sources(spec, model_a, model_b, q, inner_iters)
-    return first, second, hop, n, rate
+    return spec, model_a, model_b, hop, n, rate
 
 
 def cmd_separate(args: argparse.Namespace) -> int:
-    first, second, hop, n, rate = _separate_pipeline(
-        args.mixture, args.model1, args.model2, args.q, args.hop, args.inner_iters
+    spec, model_a, model_b, hop, n, rate = _separate_pipeline(
+        args.mixture, args.model1, args.model2, args.hop
     )
-    out1 = istft(first, hop)[:n]
-    del first  # one source's frames at a time next to the output signals
-    out2 = istft(second, hop)[:n]
-    del second
+    mix = istft(spec, hop)[:n]  # before separate_sources masks the frames in place
+    separate_sources(spec, model_a, model_b, args.q, args.inner_iters)
+    out1 = istft(spec, hop)[:n]
+    del spec
+    # istft is linear, so the second source is the mixture's resynthesis
+    # minus the first, and the two outputs sum to it up to rounding.
+    out2 = mix
+    out2 -= out1
     write_wav(args.out1, out1, rate)
     try:
         write_wav(args.out2, out2, rate)
@@ -209,16 +210,13 @@ def cmd_separate(args: argparse.Namespace) -> int:
 
 
 def cmd_denoise(args: argparse.Namespace) -> int:
-    speech, noise, hop, n, rate = _separate_pipeline(
-        args.input,
-        args.speech_model,
-        args.noise_model,
-        args.q,
-        args.hop,
-        args.inner_iters,
+    spec, speech_model, noise_model, hop, n, rate = _separate_pipeline(
+        args.input, args.speech_model, args.noise_model, args.hop
     )
-    del noise  # only the speech estimate is written
-    write_wav(args.out, istft(speech, hop)[:n], rate)
+    separate_sources(spec, speech_model, noise_model, args.q, args.inner_iters)
+    speech = istft(spec, hop)[:n]
+    del spec  # freed before write_wav makes its temporaries
+    write_wav(args.out, speech, rate)
     print(f"wrote {args.out}")
     return 0
 

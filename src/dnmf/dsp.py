@@ -77,11 +77,16 @@ def istft(frames: Array, hop: int) -> Array:
     ends, so at any hop this zeroes the first and last samples of the output
     (samples 0-3 and the last three at ``fft_size`` 1024, sample 0 alone at
     256 or less), and at hops near ``fft_size`` also frame edges inside it.
-    Output length is ``fft_size + (n_frames - 1) * hop``.
+    Output length is ``fft_size + (n_frames - 1) * hop``.  The inverse is
+    linear in ``frames``: inverting a sum of spectrograms gives the sum of
+    their inverses, up to rounding.
 
     The inverse transforms run in blocks of 128 frames, and each block is
     added as ``ceil(fft_size / hop)`` hop-wide slabs, last slab first, so
-    that every sample sums its frames in frame order.  The output is
+    that every sample sums its frames in frame order.  The squared-window sum
+    repeats with period ``hop`` away from both ends, so it is built for a
+    stream of at most ``n_slabs`` frames in the same slab order, and its one
+    full row divides every interior row of the output.  The output is
     therefore bit-identical to a loop that inverts and adds one frame at a
     time, while no temporary larger than one block is made.
     """
@@ -109,22 +114,31 @@ def istft(frames: Array, hop: int) -> Array:
     ]
     rows = n_frames - 1 + n_slabs
     out = np.zeros(rows * hop)
-    wsum = np.zeros(rows * hop)
-    out_rows, wsum_rows = out.reshape(rows, hop), wsum.reshape(rows, hop)
-    for k, lo, width in slabs:
-        wsum_rows[k : k + n_frames, :width] += wsq[lo : lo + width]
+    out_rows = out.reshape(rows, hop)
     for b in range(0, n_frames, _BLOCK):
         block = np.fft.irfft(frames[:, b : b + _BLOCK], n=fft_size, axis=0).T
         block *= window
         for k, lo, width in slabs:
             dest = out_rows[b + k : b + k + block.shape[0], :width]
             dest += block[:, lo : lo + width]
-    length = fft_size + (n_frames - 1) * hop
-    out, wsum = out[:length], wsum[:length]
-    good = wsum >= _WINSUM_CUTOFF
-    np.divide(out, wsum, out=out, where=good)
-    out[~good] = 0.0
-    return out
+    # Every slab reaches rows n_slabs - 1 .. n_frames - 1 alike, so the
+    # squared-window sum of the first min(n_frames, n_slabs) frames holds
+    # every distinct row: the head, one full row (if any) and the tail.
+    short = min(n_frames, n_slabs)
+    wsum_rows = np.zeros((short - 1 + n_slabs, hop))
+    for k, lo, width in slabs:
+        wsum_rows[k : k + short, :width] += wsq[lo : lo + width]
+    edge = min(n_slabs - 1, n_frames)
+    spans = (
+        (out_rows[:edge], wsum_rows[:edge]),
+        (out_rows[edge:n_frames], wsum_rows[edge]),
+        (out_rows[n_frames:], wsum_rows[short:]),
+    )
+    for span, wsum in spans:
+        good = wsum >= _WINSUM_CUTOFF
+        np.divide(span, wsum, out=span, where=good)
+        np.copyto(span, 0.0, where=~good)
+    return out[: fft_size + (n_frames - 1) * hop]
 
 
 def wiener_reconstruct(mix_mag: Array, est1: Array, est2: Array) -> tuple[Array, Array]:
@@ -159,17 +173,6 @@ def wiener_reconstruct(mix_mag: Array, est1: Array, est2: Array) -> tuple[Array,
     np.divide(est1, part1, out=part1)
     part1 *= mix_mag
     return part1, mix_mag - part1
-
-
-def _unit_phase(spec: Array, mag: Array) -> Array:
-    """Overwrite the complex ``spec`` with ``spec / mag`` and return it.
-
-    ``mag`` is ``np.abs(spec)``; bins where it is 0 get the phase 1.  This is
-    the mixture phase used for resynthesis, built with no complex temporary.
-    """
-    np.divide(spec, mag, out=spec, where=mag > 0.0)
-    spec[mag == 0.0] = 1.0
-    return spec
 
 
 def _energy_ratio_db(reference: Array, error: Array) -> float:

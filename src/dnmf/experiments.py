@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Array
-from .dsp import _BLOCK, _unit_phase, istft, mix_at_snr, output_snr, stft, wiener_reconstruct
+from .core import EPS, Array
+from .dsp import _BLOCK, istft, mix_at_snr, output_snr, stft
 from .statespace import DnmfModel, FilterState, TrainConfig, concat_models, filter_stream, train
 
 __all__ = [
@@ -243,27 +243,29 @@ def separate_sources(
     model2: DnmfModel,
     anneal: float = 0.1,
     inner_iters: int = 1,
-) -> tuple[Array, Array]:
+) -> Array:
     """Filter the complex (bins, frames) mixture STFT ``spec`` with two
-    concatenated models and split it by soft masks in the mixture phase.
+    concatenated models and mask it in place down to the first source.
 
-    Returns the two sources' complex frames; they sum to ``spec`` to within
-    rounding.  ``spec`` is consumed: the second source overwrites it and is
-    returned, so pass a copy to keep the mixture.  After filtering, the split
-    runs 128 frames at a time into the one new spectrogram-sized output.
+    One pass over 128-frame blocks filters each block's magnitudes (the
+    filter history carries from block to block) and multiplies the block by
+    the soft mask ``W1 h1 / max(W1 h1 + W2 h2, EPS)``, a real gain in [0, 1]
+    that keeps the mixture phase.  ``spec`` is consumed: it is returned
+    holding the first source's frames.  :func:`~dnmf.dsp.istft` is linear,
+    so the second source's signal is the inverse of the mixture frames
+    (taken before this call) minus the inverse of the first source's.
     """
     state = FilterState(concat_models(model1, model2), anneal=anneal, inner_iters=inner_iters)
-    h = filter_stream(state, np.abs(spec))
     n1 = model1.n_components
-    first = np.empty_like(spec)
     for b in range(0, spec.shape[1], _BLOCK):
         cols = slice(b, b + _BLOCK)
-        mag = np.abs(spec[:, cols])
-        est1, est2 = model1.basis @ h[:n1, cols], model2.basis @ h[n1:, cols]
-        part1, part2 = wiener_reconstruct(mag, est1, est2)
-        np.multiply(part1, _unit_phase(spec[:, cols], mag), out=first[:, cols])
-        spec[:, cols] *= part2
-    return first, spec
+        h = filter_stream(state, np.abs(spec[:, cols]))
+        est1, mask = model1.basis @ h[:n1], model2.basis @ h[n1:]
+        mask += est1
+        np.maximum(mask, EPS, out=mask)
+        np.divide(est1, mask, out=mask)
+        spec[:, cols] *= mask
+    return spec
 
 
 def run_separation(scenario: SeparationScenario, seed: int = 0) -> ExperimentReport:
@@ -274,14 +276,17 @@ def run_separation(scenario: SeparationScenario, seed: int = 0) -> ExperimentRep
     with the learned lag matrices and one refinement per frame.  Each
     source's training seed depends only on the source (not the order), so
     all orders factor the same dictionaries and differ purely in their
-    dynamics.  Reconstruction uses the mixture phase, and each
-    source's time-domain output SNR goes into the report.
+    dynamics.  Reconstruction uses the mixture phase: the first source is
+    the inverse of its masked frames, the second the inverse of the mixture
+    frames minus the first.  Each source's time-domain output SNR goes into
+    the report.
     """
     s1, s2 = gen_chirp_pair(scenario)
     mixture = mix_at_snr(s1, s2, scenario.mix_snr_db)
     s2ref = mixture - s1
     nfft, hop = scenario.fft_size, scenario.hop
     mix_spec = stft(mixture, nfft, hop)
+    resynth = istft(mix_spec, hop)
     mag1 = np.abs(stft(s1, nfft, hop))
     mag2 = np.abs(stft(s2ref, nfft, hop))
 
@@ -294,9 +299,8 @@ def run_separation(scenario: SeparationScenario, seed: int = 0) -> ExperimentRep
             models.append(model)
         method = "dnmf" if order >= 1 else "static"
         inner = _DNMF_INNER if order >= 1 else _STATIC_INNER
-        est1, est2 = separate_sources(mix_spec.copy(), *models, scenario.anneal, inner)
-        for tag, est, ref in (("source1", est1, s1), ("source2", est2, s2ref)):
-            y = istft(est, hop)
+        y1 = istft(separate_sources(mix_spec.copy(), *models, scenario.anneal, inner), hop)
+        for tag, y, ref in (("source1", y1, s1), ("source2", resynth - y1, s2ref)):
             # The frame grid may not cover the last few samples; score the
             # span both signals share.
             n = min(y.shape[0], ref.shape[0])

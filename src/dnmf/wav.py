@@ -42,7 +42,8 @@ def read_wav(path: str) -> tuple[Array, int]:
         raw = fh.readframes(fh.getnframes())
     if len(raw) % 2:
         raise ValueError(f"{path}: data chunk ends inside a sample")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64)
+    samples /= 32768.0
     return samples, rate
 
 
@@ -58,7 +59,10 @@ def write_wav(path: str, samples: Array, rate: int) -> None:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1:
         raise ValueError("samples must be 1-D (mono)")
-    pcm = np.clip(np.round(samples * 32768.0), -32768, 32767).astype("<i2")
+    scaled = np.multiply(samples, 32768.0)
+    np.round(scaled, out=scaled)
+    np.clip(scaled, -32768, 32767, out=scaled)
+    pcm = scaled.astype("<i2")
     # wave.open(path) on an unopenable path leaves a writer whose __del__ raises.
     with open(path, "wb") as raw, wave.open(raw, "wb") as fh:
         fh.setnchannels(1)

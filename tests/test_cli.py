@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dnmf.cli
-from dnmf.cli import _separate_pipeline, load_model, main, save_model
+from dnmf.cli import load_model, main, save_model
 from dnmf.core import normalize_columns
 from dnmf.dsp import istft, mix_at_snr, stft
 from dnmf.experiments import SeparationScenario, gen_chirp_pair
@@ -304,6 +304,35 @@ def test_denoise_command_writes_primary_estimate(tmp_path):
     assert y.shape[0] > 0
 
 
+def test_separate_outputs_sum_to_mixture_resynthesis(tmp_path, monkeypatch):
+    # The second source is the mixture's resynthesis minus the first, so
+    # before 16-bit quantization the two sum to istft(mixture frames).
+    _, model_a, model_b, sc = _write_separation_fixture(tmp_path)
+    rng = np.random.default_rng(9)
+    mix_path = str(tmp_path / "odd.wav")
+    write_wav(mix_path, rng.uniform(-0.3, 0.3, size=16100), sc.sample_rate)
+    written = {}
+
+    def capture(path, samples, rate):
+        written[path] = np.array(samples)
+        write_wav(path, samples, rate)
+
+    monkeypatch.setattr(dnmf.cli, "write_wav", capture)
+    out1, out2, out3 = (str(tmp_path / f"o{i}.wav") for i in range(3))
+    models = ["--model1", model_a, "--model2", model_b]
+    assert main(["separate", "--mixture", mix_path, *models, "--q", "0.3",
+                 "--out1", out1, "--out2", out2]) == 0
+    mix, _ = read_wav(mix_path)
+    padded = np.pad(mix, (0, (sc.fft_size - mix.shape[0]) % sc.hop))
+    ref = istft(stft(padded, sc.fft_size, sc.hop), sc.hop)[: mix.shape[0]]
+    np.testing.assert_allclose(written[out1] + written[out2], ref, rtol=0.0, atol=1e-12)
+    # denoise inverts the same first source at the same annealing exponent.
+    assert main(["denoise", "--input", mix_path, "--speech-model", model_a,
+                 "--noise-model", model_b, "--out", out3]) == 0
+    assert np.array_equal(written[out3], written[out1])
+    assert Path(out3).read_bytes() == Path(out1).read_bytes()
+
+
 def test_separate_and_denoise_keep_every_input_sample(tmp_path):
     # 16100 - 1024 is not a multiple of the 256-sample hop, so the last
     # frame must be zero-padded rather than dropped with the tail.
@@ -500,9 +529,9 @@ def test_default_hop_of_a_two_bin_model_is_one(tmp_path, command):
 
 
 def test_separate_pipeline_peak_memory(tmp_path):
-    # The pipeline must hold no more than two complex spectrogram-sized
-    # arrays, three signal-length ones and two 128-frame complex blocks at
-    # any moment.
+    # A whole `dnmf separate` or `dnmf denoise` must hold no more than one
+    # complex spectrogram, three signal-length arrays and two 128-frame
+    # complex blocks at any moment.
     rng = np.random.default_rng(12)
     paths = []
     for name in ("a", "b"):
@@ -516,22 +545,24 @@ def test_separate_pipeline_peak_memory(tmp_path):
     real = (fft_size // 2 + 1) * n_frames * 8
     signal = (fft_size + (n_frames - 1) * hop) * 8
     block = 2 * (fft_size // 2 + 1) * 128 * 8
-    budget = 2 * 2 * real + 3 * signal + 2 * block
-    tracemalloc.start()
-    try:
-        first, second, hop, n_out, _ = _separate_pipeline(
-            mix, paths[0], paths[1], 0.1, None, 1
-        )
-        # Inverted as `dnmf separate` does it: one source's frames at a time.
-        out1 = istft(first, hop)[:n_out]
-        del first
-        out2 = istft(second, hop)[:n_out]
-        del second
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert out1.shape == out2.shape == (n,)
-    assert peak <= budget, f"peak {peak / 2**20:.1f} MiB, budget {budget / 2**20:.1f}"
+    budget = 2 * real + 3 * signal + 2 * block
+    outs = [str(tmp_path / f"o{i}.wav") for i in range(3)]
+    for argv in (
+        ["separate", "--mixture", mix, "--model1", paths[0], "--model2", paths[1],
+         "--out1", outs[0], "--out2", outs[1]],
+        ["denoise", "--input", mix, "--speech-model", paths[0],
+         "--noise-model", paths[1], "--out", outs[2]],
+    ):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        mib = peak / 2**20, budget / 2**20
+        assert peak <= budget, f"{argv[0]}: peak {mib[0]:.2f} MiB, budget {mib[1]:.2f}"
+    for path in outs:
+        assert read_wav(path)[0].shape == (n,)
 
 
 def _separate_args(tmp_path, rng, n_samples):

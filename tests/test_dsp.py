@@ -5,7 +5,6 @@ from dnmf.core import EPS
 from dnmf.dsp import (
     _WINSUM_CUTOFF,
     _hann,
-    _unit_phase,
     input_snr,
     istft,
     mix_at_snr,
@@ -82,8 +81,13 @@ def test_istft_matches_per_frame_reference(fft_size, hop):
     rng = np.random.default_rng(fft_size + hop)
     bins = fft_size // 2 + 1
     # One frame, fewer than one block, and more than two blocks with a
-    # partial last block (the block is 128 frames).
-    for n_frames in (1, 5, 300):
+    # partial last block (the block is 128 frames); then frame counts on both
+    # sides of n_slabs, where istft stops summing the squared window over the
+    # whole stream and divides by a head, one interior row and a tail, and of
+    # 2 * n_slabs - 1, where the interior first spans a whole window.
+    n_slabs = -(-fft_size // hop)
+    edges = {n for k in (n_slabs, 2 * n_slabs - 1) for n in (k - 1, k, k + 1) if n >= 1}
+    for n_frames in (1, 5, 300, *sorted(edges)):
         frames = rng.standard_normal((bins, n_frames)) + 1j * rng.standard_normal(
             (bins, n_frames)
         )
@@ -190,17 +194,6 @@ def test_wiener_validation():
             wiener_reconstruct(*args)
     p1, p2 = wiener_reconstruct(np.ones(0), np.ones(0), np.ones(0))
     assert p1.shape == p2.shape == (0,)
-
-
-def test_unit_phase_matches_exp_angle():
-    rng = np.random.default_rng(23)
-    spec = stft(rng.standard_normal(4096), 256, 64)
-    spec[:, 3] = 0.0  # a silent frame: its phase is 1
-    ref = np.exp(1j * np.angle(spec))
-    phase = _unit_phase(spec, np.abs(spec))
-    assert phase is spec
-    assert np.max(np.abs(phase - ref)) < 1e-15
-    assert np.all(phase[:, 3] == 1.0)
 
 
 def test_input_snr_hand_value():

@@ -16,14 +16,13 @@ from dnmf.experiments import (
     tracking_model,
 )
 from dnmf.core import normalize_columns
-from dnmf.dsp import _unit_phase, mix_at_snr, stft, wiener_reconstruct
+from dnmf.dsp import mix_at_snr, stft, wiener_reconstruct
 from dnmf.statespace import (
     DnmfModel,
     FilterState,
     TrainConfig,
     concat_models,
     filter_frame,
-    filter_stream,
     train,
 )
 
@@ -87,6 +86,12 @@ def test_chirp_pair_is_exact_time_reversal():
     np.testing.assert_array_equal(s2, s1[::-1])
 
 
+def _unit_phase(spec):
+    """``spec / |spec|``, and 1 where the magnitude is 0."""
+    mag = np.abs(spec)
+    return np.divide(spec, mag, out=np.ones_like(spec), where=mag > 0.0)
+
+
 def test_separate_sources_outputs_partition_mixture():
     sc = SeparationScenario(duration=0.3, rank=6)
     s1, s2 = gen_chirp_pair(sc)
@@ -95,19 +100,12 @@ def test_separate_sources_outputs_partition_mixture():
     cfg = TrainConfig(iters=20, prior_start=10, seed=0)
     m1, _ = train(np.abs(stft(s1, sc.fft_size, sc.hop)), 6, 1, cfg)
     m2, _ = train(np.abs(stft(s2, sc.fft_size, sc.hop)), 6, 1, cfg)
-    e1, e2 = separate_sources(spec.copy(), m1, m2)
-    assert e1.shape == e2.shape == spec.shape
-    np.testing.assert_allclose(e1 + e2, spec, rtol=0.0, atol=1e-12)
-    # Both parts keep the mixture phase, so their magnitudes partition it.
-    np.testing.assert_allclose(np.abs(e1) + np.abs(e2), np.abs(spec), rtol=0.0, atol=1e-12)
-
-
-def _separate_magnitudes(mag, model1, model2, anneal=0.1, inner_iters=1):
-    """The magnitude split of separate_sources from whole-array products."""
-    state = FilterState(concat_models(model1, model2), anneal=anneal, inner_iters=inner_iters)
-    h = filter_stream(state, mag)
-    n1 = model1.n_components
-    return wiener_reconstruct(mag, model1.basis @ h[:n1], model2.basis @ h[n1:])
+    work = spec.copy()
+    e1 = separate_sources(work, m1, m2)
+    assert e1 is work and e1.shape == spec.shape
+    # A real gain in [0, 1] keeps the mixture phase, so the magnitudes of the
+    # first source and of the remainder partition the mixture's.
+    np.testing.assert_allclose(np.abs(e1) + np.abs(spec - e1), np.abs(spec), rtol=0.0, atol=1e-12)
 
 
 def _separate_per_frame(mag, model1, model2, anneal=0.1, inner_iters=1):
@@ -133,12 +131,11 @@ def test_separate_sources_matches_per_frame_reference(order, inner_iters):
     cfg = TrainConfig(iters=12, prior_start=6, seed=1)
     m1, _ = train(np.abs(stft(s1, sc.fft_size, sc.hop)), 5, order, cfg)
     m2, _ = train(np.abs(stft(s2, sc.fft_size, sc.hop)), 5, order, cfg)
-    phase = _unit_phase(spec.copy(), mag)
+    phase = _unit_phase(spec)
     got = separate_sources(spec, m1, m2, 0.2, inner_iters)
-    want = _separate_per_frame(mag, m1, m2, 0.2, inner_iters)
+    part1, _ = _separate_per_frame(mag, m1, m2, 0.2, inner_iters)
     # One matrix product per block rounds differently from per-column ones.
-    for g, w in zip(got, want):
-        np.testing.assert_allclose(g, w * phase, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(got, part1 * phase, rtol=0.0, atol=1e-12)
 
 
 def _random_model(rng, k, i, order):
@@ -150,21 +147,18 @@ def _random_model(rng, k, i, order):
 @pytest.mark.parametrize("order", [0, 1, 2])
 @pytest.mark.parametrize("n_frames", [1, 127, 128, 129, 300])
 def test_separate_sources_blocks_match_whole_array_split(n_frames, order, inner_iters):
-    # Frame counts on both sides of the 128-frame block; a zero bin checks
-    # the unit phase of silence.
+    # Frame counts on both sides of the 128-frame block, against one Wiener
+    # split per frame; a zero bin checks that silence stays silent.
     rng = np.random.default_rng(n_frames + 10 * order + 100 * inner_iters)
     spec = rng.standard_normal((17, n_frames)) + 1j * rng.standard_normal((17, n_frames))
     spec[3, 0] = 0.0
     m1, m2 = _random_model(rng, 17, 4, order), _random_model(rng, 17, 3, order)
     mag = np.abs(spec)
-    parts = _separate_magnitudes(mag, m1, m2, 0.2, inner_iters)
-    phase = _unit_phase(spec.copy(), mag)
-    first, second = separate_sources(spec.copy(), m1, m2, 0.2, inner_iters)
-    tol = 1e-12 * mag.max()
-    for got, part in zip((first, second), parts):
-        assert got.shape == spec.shape and got.dtype == np.complex128
-        np.testing.assert_allclose(got, part * phase, rtol=0.0, atol=tol)
-    np.testing.assert_allclose(first + second, spec, rtol=0.0, atol=tol)
+    part1, _ = _separate_per_frame(mag, m1, m2, 0.2, inner_iters)
+    first = separate_sources(spec.copy(), m1, m2, 0.2, inner_iters)
+    assert first.shape == spec.shape and first.dtype == np.complex128
+    np.testing.assert_allclose(first, part1 * _unit_phase(spec), rtol=0.0, atol=1e-12 * mag.max())
+    assert first[3, 0] == 0.0
 
 
 def test_run_tracking_report_layout():

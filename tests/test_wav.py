@@ -26,6 +26,24 @@ def test_write_clips_out_of_range(tmp_path):
     assert loaded[2] == 0.0
 
 
+def test_write_bytes_match_clip_of_rounded_scale(tmp_path):
+    # Full scale on both sides, clipping beyond it, and .5 ties (rounded
+    # half to even) at the edges and in between.
+    samples = np.array([1.0, -1.0, 1.5, -1.5, 32767.5 / 32768.0, -32768.5 / 32768.0,
+                        0.5 / 32768.0, 1.5 / 32768.0, -2.5 / 32768.0, 100.5 / 32768.0,
+                        0.0, -0.0, 0.25, -0.7, 1e-9])
+    path = str(tmp_path / "ties.wav")
+    write_wav(path, samples, 8000)
+    with wave.open(path, "rb") as fh:
+        data = fh.readframes(fh.getnframes())
+    want = np.clip(np.round(samples * 32768.0), -32768, 32767).astype("<i2")
+    assert data == want.tobytes()
+    assert np.frombuffer(data, dtype="<i2")[:10].tolist() == [
+        32767, -32768, 32767, -32768, 32767, -32768, 0, 2, -2, 100]
+    loaded, _ = read_wav(path)
+    np.testing.assert_array_equal(loaded, want / 32768.0)
+
+
 def test_write_rejects_bad_inputs(tmp_path):
     path = str(tmp_path / "bad.wav")
     with pytest.raises(ValueError):
