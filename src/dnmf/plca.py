@@ -74,8 +74,6 @@ def fit_static_plca(
     """
     from .statespace import TrainConfig, train
 
-    if rank < 1:
-        raise ValueError("rank must be at least 1")
     # prior_start is irrelevant at order 0 but must satisfy the config's
     # bounds check for small iteration counts.
     cfg = TrainConfig(iters=iters, prior_start=0, seed=seed)

@@ -1,0 +1,127 @@
+"""The package surface: what ``import dnmf`` exports, and what the bench traces."""
+import ast
+import importlib
+import importlib.util
+import inspect
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dnmf
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = Path(dnmf.__file__).resolve().parents[1]
+
+USER_API = {
+    "EPS",
+    "__version__",
+    "is_divergence",
+    "fit_static_plca",
+    "ConvergenceError",
+    "DnmfModel",
+    "TrainConfig",
+    "FilterState",
+    "train",
+    "filter_stream",
+    "map_objective",
+    "lag_fit_divergence",
+    "concat_models",
+    "stft",
+    "istft",
+    "output_snr",
+    "mix_at_snr",
+    "read_wav",
+    "write_wav",
+}
+
+# Solver internals and helpers: importable from their modules, not the root.
+MODULE_ONLY = {
+    "nonneg_matrix": "dnmf.core",
+    "stochastic_matrix": "dnmf.core",
+    "normalize_columns": "dnmf.core",
+    "is_nmf_update_h": "dnmf.plca",
+    "is_nmf_update_w": "dnmf.plca",
+    "solve_beta": "dnmf.statespace",
+    "build_lag_matrix": "dnmf.statespace",
+    "estimate_nvar": "dnmf.statespace",
+    "filter_frame": "dnmf.statespace",
+    "wiener_reconstruct": "dnmf.dsp",
+    "input_snr": "dnmf.dsp",
+}
+
+
+def _readme_python_blocks() -> list[str]:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"```python\n(.*?)```", text, flags=re.S)
+
+
+def _root_imports(source: str) -> set[str]:
+    """Names a source imports with ``from dnmf import ...``."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "dnmf" and node.level == 0
+        for alias in node.names
+    }
+
+
+def _env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_root_exports_exactly_the_user_api():
+    assert sorted(dnmf.__all__) == sorted(USER_API)
+    for name in dnmf.__all__:
+        assert getattr(dnmf, name) is not None
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_ONLY))
+def test_internal_name_leaves_root_but_stays_in_its_module(name):
+    module = importlib.import_module(MODULE_ONLY[name])
+    assert not hasattr(dnmf, name)
+    assert name in module.__all__
+    assert callable(getattr(module, name))
+
+
+def test_star_import_is_clean_under_warnings_as_errors():
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", "from dnmf import *; print(len(dir()))"],
+        capture_output=True, text=True, env=_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
+def test_demos_and_readme_import_only_the_root_api():
+    sources = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "demos").glob("*.py"))]
+    sources += _readme_python_blocks()
+    imported = set().union(*(_root_imports(s) for s in sources))
+    assert imported, "no `from dnmf import` found in demos/ or README.md"
+    assert imported <= set(dnmf.__all__), sorted(imported - set(dnmf.__all__))
+
+
+def test_readme_quick_start_runs_as_written():
+    quick_start = _readme_python_blocks()[0]
+    scope: dict = {}
+    exec(compile(quick_start, "README.md", "exec"), scope)
+    assert scope["h_f"].shape == (8, 200)
+
+
+def test_bench_layer_functions_resolve_in_src(monkeypatch):
+    # Load the bench's tracer read-only: no bytecode is written under bench/.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("_bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    pairs = list(tracer.LAYER_FUNCTIONS) + [("dnmf." + tracer.ROOT.rsplit(".", 1)[0], "main")]
+    for mod_name, func_name in pairs:
+        fn = getattr(importlib.import_module(mod_name), func_name, None)
+        assert callable(fn), f"{mod_name}.{func_name} is gone"
+        assert fn.__module__ == mod_name, f"{mod_name}.{func_name} is defined in {fn.__module__}"
+        assert Path(inspect.getsourcefile(fn)).resolve().is_relative_to(SRC / "dnmf")

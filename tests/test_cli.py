@@ -447,6 +447,15 @@ def test_experiment_command_rejects_nonpositive_runs(tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--snr", "0,5,10"], ["--runs", "7"]])
+def test_experiment_separation_rejects_tracking_flags(tmp_path, capsys, flags):
+    out = tmp_path / "exp.csv"
+    assert main(["experiment", "--scenario", "separation", *flags, "--csv", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and flags[0] in err[0]
+    assert not out.exists()
+
+
 def test_missing_input_exits_with_usage_error(tmp_path, capsys):
     code = main(
         [
