@@ -13,10 +13,15 @@ its last line is the JSON object of end-to-end metrics.
 
 The output file gets two sections per call, merged into what the file already
 holds: ``<workload>_pairs`` (every run's result, the order it ran in and the
-output fingerprints) and ``<workload>_summary`` (per metric and side: median,
-quartiles, min and max, plus the number of pairs the change won, ties counting
-for neither).  ``machine`` and ``commands`` are filled in too.  "Better" for
-each metric comes from the change checkout's ``BENCHMARK.json``.
+output fingerprints, and ``outputs_identical``: whether both sides wrote the
+same bytes) and ``<workload>_summary`` (per metric and side: median, quartiles,
+min and max, plus the number of pairs the change won, ties counting for
+neither; under ``outputs_identical``, how many pairs wrote identical outputs).
+``machine`` and ``commands`` are filled in too.  "Better" for each metric comes
+from the change checkout's ``BENCHMARK.json``.
+
+The script exits 1, after writing the file, when any run reported
+``"correct": false``.
 """
 from __future__ import annotations
 
@@ -78,6 +83,8 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
                                  for p, c in zip(values["parent"], values["change"]))
         row["pairs"] = len(pairs)
         summary[metric] = row
+    summary["outputs_identical"] = {"pairs": len(pairs),
+                                    "identical": sum(p["outputs_identical"] for p in pairs)}
     return summary
 
 
@@ -95,13 +102,14 @@ def main() -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    pairs, machine = [], None
+    pairs, machine, failed = [], None, 0
     for i, seed in enumerate(args.seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {"seed": seed, "first": order[0], "output_sha256": {}}
         for side in order:
             result, details = run_bench(checkouts[side], args.workload, seed, args.seconds)
             if not result["correct"]:
+                failed += 1
                 print(f"warning: {side} seed {seed} reported problems", file=sys.stderr)
             pair[side] = result
             pair["output_sha256"][side] = {d["workload"]: d["output_sha256"] for d in details}
@@ -109,6 +117,8 @@ def main() -> int:
             wall = {k: round(v["value"], 3) for k, v in result["metrics"].items()
                     if k.endswith("wall_s")}
             print(f"seed {seed} {side}: {wall}", file=sys.stderr)
+        pair["outputs_identical"] = (pair["output_sha256"]["parent"]
+                                     == pair["output_sha256"]["change"])
         pairs.append(pair)
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
@@ -123,6 +133,9 @@ def main() -> int:
     doc[f"{args.workload}_summary"] = summarise(pairs, better)
     doc[f"{args.workload}_pairs"] = pairs
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    if failed:
+        print(f"error: {failed} run(s) reported problems; see {args.out}", file=sys.stderr)
+        return 1
     return 0
 
 

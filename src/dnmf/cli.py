@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .core import normalize_columns
+from .core import nonneg_matrix, normalize_columns
 from .dsp import istft, stft
 from .experiments import (
     SeparationScenario,
@@ -116,10 +116,15 @@ def _is_json_int(value) -> bool:
 
 def _load_training_matrix(path: str, fft_size: int, hop: int) -> np.ndarray:
     if path.lower().endswith(".csv"):
-        mat = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-        if mat.size == 0:
-            raise ValueError(f"{path}: empty matrix")
-        return mat
+        try:
+            with warnings.catch_warnings():
+                # A file without data rows is rejected below; numpy would
+                # first warn about it.
+                warnings.simplefilter("ignore", UserWarning)
+                mat = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+            return nonneg_matrix(mat, name="data")
+        except ValueError as exc:  # unparsable text, invalid UTF-8, bad values
+            raise ValueError(f"{path}: {exc}") from None
     samples, _ = _read_signal(path, fft_size)
     return np.abs(stft(samples, fft_size, hop))
 

@@ -168,8 +168,8 @@ _BETA_MAX_ITER = 200
 # Relative bracket width at which solve_beta stops: a few ulps.
 _BETA_RESOLUTION = 8.0 * np.finfo(np.float64).eps
 
-# The ufunc reductions behind ndarray.sum/min, without the method wrapper.
-_sum, _min = np.add.reduce, np.minimum.reduce
+# The ufunc reduction behind ndarray.sum, without the method wrapper.
+_sum = np.add.reduce
 
 
 def solve_beta(c: Array, eta: Array) -> float:
@@ -210,10 +210,12 @@ def solve_beta(c: Array, eta: Array) -> float:
         raise ValueError("c and eta must be 1-D arrays of equal length")
     if c.size == 0:
         raise ValueError("counts must have positive total")
-    total = float(_sum(c))
+    total = float(_sum(c, 0))
     # The largest eta has the smallest 1/eta: on full support it is the pole.
+    # Indexing at argmin/argmax reads the same extremes as a min reduction,
+    # NaN included (both pick the first NaN), for a fraction of the dispatch.
     k = eta.argmax()
-    c_min, eta_min, eta_max = _min(c), _min(eta), eta[k]
+    c_min, eta_min, eta_max = c[c.argmin()], eta[eta.argmin()], eta[k]
     # A NaN or infinite entry makes the total or an extreme of eta non-finite.
     if not all(map(math.isfinite, (total, eta_min, eta_max))):
         raise ValueError("counts and prior means must be finite")
@@ -245,7 +247,7 @@ def solve_beta(c: Array, eta: Array) -> float:
     for _ in range(_BETA_MAX_ITER):
         d = inv + beta
         q = cs / d
-        val = float(_sum(q))
+        val = float(_sum(q, 0))
         if abs(val - 1.0) <= _BETA_TOL:
             return beta
         if val > 1.0:
@@ -259,7 +261,7 @@ def solve_beta(c: Array, eta: Array) -> float:
             # certificate.
             return 0.5 * (lo + hi)
         # Newton on 1/g = 1 is the step on g, (g - 1) / -g', times g.
-        cand = beta + val * (val - 1.0) / float(_sum(q / d))
+        cand = beta + val * (val - 1.0) / float(_sum(q / d, 0))
         if not lo < cand < hi:
             cand = 0.5 * (lo + hi)
         beta = cand
@@ -269,31 +271,47 @@ def solve_beta(c: Array, eta: Array) -> float:
     )
 
 
-def _simplex_update(c: Array, eta: Array, out: Array | None = None) -> Array:
+def _simplex_update(
+    c: Array, eta: Array, out: Array | None = None, inv: float | None = None
+) -> Array:
     """Maximize ``sum_i c[i]*log(h[i]) - h[i]/eta[i]`` over the simplex.
 
-    The result is written into ``out`` when given.
+    The result is written into ``out`` when given; ``out`` must not be
+    ``c``.  A caller whose ``eta`` is uniform may pass its reciprocal as the
+    float ``inv``: dividing by one scalar gives the same bits as dividing by
+    a vector of equal entries, for one numpy call instead of three.
     """
     beta = solve_beta(c, eta)
-    out = np.add(1.0 / eta, beta, out=out)
-    np.divide(c, out, out=out)
-    out /= _sum(out)
+    if inv is None:
+        out = np.divide(1.0, eta, out=out)
+        out += beta
+        np.divide(c, out, out=out)
+    else:
+        out = np.divide(c, inv + beta, out=out)
+    out /= _sum(out, 0)
     return out
 
 
-def _em_step(xf: Array, w: Array, eta: Array, h: Array) -> Array:
+def _em_step(xf: Array, w: Array, eta: Array, h: Array, inv: float | None = None) -> Array:
     """One constrained EM refinement of a single frame's coefficients.
 
     ``xf`` is the raw (floored) frame; responsibilities come from the current
     coefficient estimate ``h`` (they enter only through their weighted column
     sums, so the full per-bin posterior is never materialized); ``eta`` is
-    the prior mean for this frame.  The counts keep the frame's natural
+    the prior mean for this frame and ``inv`` optionally its reciprocal, as
+    :func:`_simplex_update` takes it.  The counts keep the frame's natural
     scale, so the normalizing multiplier grows with the frame energy and the
     ``1/eta`` prior term acts as a proportionally gentle correction.
     """
     hs = np.maximum(h, EPS)
-    wh = np.maximum(w @ hs, EPS)
-    return _simplex_update(hs * (w.T @ (xf / wh)), eta)
+    # ndarray.dot is the same BLAS gemv as ``@``, with less dispatch; the
+    # second product is ``w.T @ ratio``.
+    ratio = w.dot(hs)
+    np.maximum(ratio, EPS, out=ratio)
+    np.divide(xf, ratio, out=ratio)
+    c = ratio.dot(w)
+    c *= hs
+    return _simplex_update(c, eta, out=hs, inv=inv)
 
 
 def build_lag_matrix(h: Array, order: int) -> Array:
@@ -434,6 +452,7 @@ def train(
     stacked = _stack_lags(rng.uniform(0.1, 1.1, size=(order, rank, rank))) if order else None
 
     ratio = np.empty_like(xf)  # x / (W @ h), rewritten in place each iteration
+    anneal = cfg.anneal
     for it in range(1, cfg.iters + 1):
         # E-step and basis update depend only on the previous iterate.
         hs = np.maximum(h, EPS)
@@ -452,11 +471,12 @@ def train(
             # frame; rows t .. t + order - 1 are frame t's past, already
             # updated in this iteration, as [A_J ... A_1] expects them.
             hist = np.ones((order + nframes, rank))
+            flat = hist.ravel()  # a view: frame t's past is one flat slice
             counts_t = np.ascontiguousarray(counts.T)
             for t in range(nframes):
-                pred = stacked @ hist[t : t + order].ravel()
+                pred = stacked.dot(flat[t * rank : (t + order) * rank])
                 np.maximum(pred, EPS, out=pred)
-                pred **= cfg.anneal
+                pred **= anneal
                 _simplex_update(counts_t[t], pred, out=hist[order + t])
             h = np.ascontiguousarray(hist[order:].T)
         if order > 0 and it >= cfg.prior_start:
@@ -514,27 +534,30 @@ def filter_frame(state: FilterState, x: Array) -> Array:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != model.n_features:
         raise ValueError(f"frame must have length {model.n_features}")
-    # NaN fails both comparisons, -inf the first and +inf the second.
-    if not (x.min() >= 0.0 and x.max() < math.inf):
+    # NaN fails both comparisons (argmin and argmax pick the first NaN),
+    # -inf the first and +inf the second.
+    if not (x[x.argmin()] >= 0.0 and x[x.argmax()] < math.inf):
         raise ValueError("frame must be nonnegative and finite")
     xf = np.maximum(x, EPS)
-    xf = xf / xf.sum()
+    xf /= _sum(xf, 0)
 
-    if model.order >= 1:
-        pred = state._lag_stack @ state.history.ravel()
+    order, w, anneal = model.order, model.basis, state.anneal
+    if order >= 1:
+        pred = state._lag_stack.dot(state.history.ravel())
         base = np.maximum(pred, EPS)
-        h = np.maximum(pred, _INIT_FLOOR)
-        h = h / h.sum()
-    else:
-        base = np.ones(model.n_components)
-        h = base / base.sum()
-    for r in range(1, state.inner_iters + 1):
-        # 1 ** x == 1 exactly, so an order-0 model's prior mean stays base.
-        eta = base ** (state.anneal / r) if model.order >= 1 else base
-        h = _em_step(xf, model.basis, eta, h)
-    if model.order >= 1:
+        h = np.maximum(pred, _INIT_FLOOR, out=pred)
+        h /= _sum(h, 0)
+        for r in range(1, state.inner_iters + 1):
+            h = _em_step(xf, w, base ** (anneal / r), h)
         state.history[:-1] = state.history[1:]
         state.history[-1] = h
+    else:
+        # The prior mean stays at ones (1 ** x == 1 exactly), whose
+        # reciprocal is the scalar 1.0.
+        ones = np.ones(model.n_components)
+        h = np.full(model.n_components, 1.0 / model.n_components)
+        for _ in range(state.inner_iters):
+            h = _em_step(xf, w, ones, h, inv=1.0)
     return h
 
 

@@ -833,3 +833,58 @@ def test_mutated_wav_headers_fail_cleanly(mutation, command):
             assert len(lines) == 1
             assert lines[0].startswith(("error:", "numerical failure:"))
             assert not out.exists()
+
+
+_BAD_CSVS = {
+    "empty": b"",
+    "comment-only": b"# no data rows\n",
+    "not-a-number": b"1,2\na,b\n",
+    "ragged": b"1,2\n3\n",
+    "trailing-comma": b"1,2,\n",
+    "negative": b"1,-2\n",
+    "nan": b"1,nan\n",
+    "overflowing-literal": b"1e400,1\n",
+    "not-utf8": b"\xff\xfe1,2\n",
+}
+
+
+@pytest.mark.parametrize("content", list(_BAD_CSVS.values()), ids=list(_BAD_CSVS))
+def test_bad_csv_is_one_error_line_naming_the_file(tmp_path, capsys, content):
+    csv = tmp_path / "bad.csv"
+    csv.write_bytes(content)
+    out = tmp_path / "m.json"
+    code = main(["train", str(csv), "--rank", "1", "--iters", "2", "--m", "1", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {csv}: ")
+    assert not out.exists()
+
+
+_CSV_ALPHABET = st.sampled_from(list("0123456789.,-+eE#naif \t\r\n"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(content=st.one_of(
+    st.text(_CSV_ALPHABET, max_size=48).map(str.encode),
+    st.text(max_size=24).map(lambda s: s.encode("utf-8", "surrogatepass")),
+    st.binary(max_size=24),
+))
+def test_random_csv_input_fails_cleanly(content):
+    # Whatever the file holds, `dnmf train` ends with a documented exit code,
+    # and a failure is one stderr line and leaves no model behind.
+    with tempfile.TemporaryDirectory() as tmp:
+        csv, out = Path(tmp) / "in.csv", Path(tmp) / "m.json"
+        csv.write_bytes(content)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["train", str(csv), "--rank", "1", "--iters", "2", "--m", "1",
+                         "--out", str(out)])
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert out.exists()
+        else:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith(("error:", "numerical failure:"))
+            assert not out.exists()
