@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .core import nonneg_matrix, normalize_columns
-from .dsp import istft, stft
+from .dsp import _check_hop, istft, stft
 from .experiments import (
     SeparationScenario,
     TrackingScenario,
@@ -125,6 +125,8 @@ def _load_training_matrix(path: str, fft_size: int, hop: int) -> np.ndarray:
             return nonneg_matrix(mat, name="data")
         except ValueError as exc:  # unparsable text, invalid UTF-8, bad values
             raise ValueError(f"{path}: {exc}") from None
+    if hop > fft_size:
+        raise ValueError(f"--hop {hop} above --fft {fft_size} would skip samples")
     samples, _ = _read_signal(path, fft_size)
     return np.abs(stft(samples, fft_size, hop))
 
@@ -182,8 +184,7 @@ def _separate_pipeline(
             "to a power-of-two FFT"
         )
     hop = hop if hop is not None else max(1, fft_size // 4)
-    if hop < 1:
-        raise ValueError("hop must be positive")
+    _check_hop(fft_size, hop)
     samples, rate = _read_signal(mixture_path, fft_size)
     n = samples.shape[0]
     # Zero-pad so the last frame reaches the final sample; outputs are trimmed to n.
@@ -249,12 +250,14 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_track(args: argparse.Namespace) -> int:
-    samples, rate = _read_signal(args.input, 128)
+    sc = TrackingScenario()
+    samples, rate = _read_signal(args.input, sc.fft_size)
     if rate != 8000:
         raise ValueError(f"{args.input}: tracking expects 8000 Hz, got {rate}")
-    mag = np.abs(stft(samples, 128, 128))
-    state = FilterState(tracking_model(), anneal=args.q, inner_iters=args.inner_iters)
-    omega = track_frequency(filter_stream(state, mag), 128)
+    mag = np.abs(stft(samples, sc.fft_size, sc.hop))
+    model = tracking_model(sc.fft_size // 2 + 1)
+    state = FilterState(model, anneal=args.q, inner_iters=args.inner_iters)
+    omega = track_frequency(filter_stream(state, mag), sc.fft_size)
     rows = np.column_stack((np.arange(omega.size), omega))
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         np.savetxt(fh, rows, fmt=("%d", "%.10g"), delimiter=",",
@@ -274,10 +277,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="WAV file or CSV magnitude matrix (K rows)")
     p.add_argument("--rank", type=int, required=True, help="number of components")
     p.add_argument("--order", type=int, default=1, help="autoregressive order")
-    p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--m", type=int, default=50, help="iteration enabling the prior")
-    p.add_argument("--q", type=float, default=0.15, help="annealing exponent")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--iters", type=int, default=TrainConfig.iters)
+    p.add_argument("--m", type=int, default=TrainConfig.prior_start,
+                   help="iteration enabling the prior")
+    p.add_argument("--q", type=float, default=TrainConfig.anneal, help="annealing exponent")
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--fft", type=int, default=1024, help="FFT size for WAV input")
     p.add_argument("--hop", type=int, default=256, help="hop size for WAV input")
     p.add_argument("--out", required=True, help="output model JSON path")

@@ -9,7 +9,6 @@ __all__ = [
     "stft",
     "istft",
     "wiener_reconstruct",
-    "input_snr",
     "output_snr",
     "mix_at_snr",
 ]
@@ -22,6 +21,20 @@ _BLOCK = 128
 def _hann(n: int) -> Array:
     # Periodic variant: 0.5 - 0.5*cos(2*pi*k/n), zero at k = 0.
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+
+
+def _check_hop(fft_size: int, hop: int) -> None:
+    """Raise ``ValueError`` unless :func:`istft` keeps every interior sample:
+    offset ``r`` of each hop sums the squared window at ``r, r + hop, ...``,
+    and a sum below the cutoff would zero that offset in every hop."""
+    if hop < 1:
+        raise ValueError("hop must be positive")
+    if hop < fft_size:
+        wsq = np.zeros(-(-fft_size // hop) * hop)  # rows of the view: window slabs
+        wsq[:fft_size] = _hann(fft_size) ** 2
+        if wsq.reshape(-1, hop).sum(axis=0).min() >= _WINSUM_CUTOFF:
+            return
+    raise ValueError(f"hop {hop} leaves gaps between fft-{fft_size} frames; use a smaller hop")
 
 
 def stft(signal: Array, fft_size: int, hop: int) -> Array:
@@ -175,37 +188,20 @@ def wiener_reconstruct(mix_mag: Array, est1: Array, est2: Array) -> tuple[Array,
     return part1, mix_mag - part1
 
 
-def _energy_ratio_db(reference: Array, error: Array) -> float:
-    num = float(np.sum(reference * reference))
-    den = float(np.sum(error * error))
-    if den <= 0.0:
-        return float("inf")
-    return 10.0 * np.log10(num / den)
-
-
-def input_snr(clean: Array, noisy: Array) -> float:
-    """SNR in dB of ``noisy`` relative to ``clean``: 10*log10(|x|^2/|y-x|^2)."""
-    clean = np.asarray(clean, dtype=np.float64)
-    noisy = np.asarray(noisy, dtype=np.float64)
-    if clean.shape != noisy.shape:
-        raise ValueError("signals must share one shape")
-    if float(np.sum(clean * clean)) <= 0.0:
-        raise ValueError("clean signal has zero energy")
-    value = _energy_ratio_db(clean, noisy - clean)
-    if value == float("inf"):
-        raise ValueError("noise component has zero energy; SNR is infinite")
-    return value
-
-
 def output_snr(reference: Array, estimate: Array) -> float:
     """SNR in dB of an estimate against its reference; +inf for exact match."""
     reference = np.asarray(reference, dtype=np.float64)
     estimate = np.asarray(estimate, dtype=np.float64)
     if reference.shape != estimate.shape:
         raise ValueError("signals must share one shape")
-    if float(np.sum(reference * reference)) <= 0.0:
+    num = float(np.sum(reference * reference))
+    if num <= 0.0:
         raise ValueError("reference signal has zero energy")
-    return _energy_ratio_db(reference, estimate - reference)
+    error = estimate - reference
+    den = float(np.sum(error * error))
+    if den <= 0.0:
+        return float("inf")
+    return 10.0 * np.log10(num / den)
 
 
 def mix_at_snr(signal: Array, noise: Array, target_snr_db: float) -> Array:
@@ -218,7 +214,8 @@ def mix_at_snr(signal: Array, noise: Array, target_snr_db: float) -> Array:
     noise : np.ndarray
         Interference with positive energy, same shape.
     target_snr_db : float
-        Desired ``input_snr(signal, mixture)`` in dB; must be finite.
+        Desired ``output_snr(signal, mixture)`` in dB; finite, and within
+        about +-3000 dB, so that the noise scale is a positive float64.
 
     Returns
     -------
@@ -238,5 +235,8 @@ def mix_at_snr(signal: Array, noise: Array, target_snr_db: float) -> Array:
         raise ValueError("signal has zero energy")
     if en <= 0.0:
         raise ValueError("noise has zero energy")
-    scale = np.sqrt(es / (en * 10.0 ** (target_snr_db / 10.0)))
+    with np.errstate(all="ignore"):  # float64: 0 or inf, no Python OverflowError
+        scale = np.sqrt(es / (en * np.float64(10.0) ** (target_snr_db / 10.0)))
+    if not (np.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"target SNR {target_snr_db:g} dB needs a noise scale outside float64")
     return signal + scale * noise

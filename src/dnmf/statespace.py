@@ -345,8 +345,8 @@ def build_lag_matrix(h: Array, order: int) -> Array:
     return np.ascontiguousarray(windows[:nframes].T)
 
 
-def estimate_nvar(h: Array, a: Array, v: Array, sweeps: int = 1) -> Array:
-    """Multiplicative sweeps fitting the lag matrices to observed dynamics.
+def estimate_nvar(h: Array, a: Array, v: Array) -> Array:
+    """One multiplicative sweep fitting the lag matrices to observed dynamics.
 
     Minimizes the Itakura-Saito divergence ``d_IS(h || a @ v)`` in ``a`` with
     ``v`` held fixed, via the same update as :func:`plca.is_nmf_update_w`.
@@ -362,8 +362,6 @@ def estimate_nvar(h: Array, a: Array, v: Array, sweeps: int = 1) -> Array:
         ``v``'s rows), shape (I, I * order), nonnegative.
     v : np.ndarray
         Lag matrix from :func:`build_lag_matrix`, shape (I * order, T).
-    sweeps : int
-        Number of multiplicative updates to apply.
 
     Returns
     -------
@@ -377,11 +375,7 @@ def estimate_nvar(h: Array, a: Array, v: Array, sweeps: int = 1) -> Array:
         raise ValueError(
             f"inconsistent shapes: h {h.shape}, a {a.shape}, v {v.shape}"
         )
-    if sweeps < 1:
-        raise ValueError("sweeps must be at least 1")
-    for _ in range(sweeps):
-        a = is_nmf_update_w(h, a, v)
-    return a
+    return is_nmf_update_w(h, a, v)
 
 
 def train(
@@ -480,7 +474,7 @@ def train(
                 _simplex_update(counts_t[t], pred, out=hist[order + t])
             h = np.ascontiguousarray(hist[order:].T)
         if order > 0 and it >= cfg.prior_start:
-            stacked = estimate_nvar(h, stacked, build_lag_matrix(h, order), sweeps=1)
+            stacked = estimate_nvar(h, stacked, build_lag_matrix(h, order))
 
     return DnmfModel(basis=w, lags=np.hsplit(stacked, order)[::-1] if order else []), h
 

@@ -50,7 +50,6 @@ MODULE_ONLY = {
     "estimate_nvar": "dnmf.statespace",
     "filter_frame": "dnmf.statespace",
     "wiener_reconstruct": "dnmf.dsp",
-    "input_snr": "dnmf.dsp",
 }
 
 

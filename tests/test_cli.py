@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import re
@@ -7,6 +8,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ import dnmf.cli
 from dnmf.cli import load_model, main, save_model
 from dnmf.core import normalize_columns
 from dnmf.dsp import istft, mix_at_snr, stft
-from dnmf.experiments import SeparationScenario, gen_chirp_pair
+from dnmf.experiments import SeparationScenario, TrackingScenario, gen_chirp_pair
 from dnmf.statespace import FilterState, TrainConfig, filter_frame, train
 from dnmf.wav import read_wav, write_wav
 
@@ -456,6 +458,20 @@ def test_experiment_separation_rejects_tracking_flags(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenario, snr", [
+    ("tracking", "3100"), ("tracking", "-1e308"), ("separation", "1e308"),
+])
+def test_snr_beyond_float64_is_one_error_line(tmp_path, capsys, scenario, snr):
+    # The noise scale 10 ** (-snr / 20) is 0 or inf in float64.
+    out = tmp_path / "exp.csv"
+    runs = ["--runs", "1"] if scenario == "tracking" else []
+    assert main(["experiment", "--scenario", scenario, *runs, f"--snr={snr}",
+                 "--csv", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+
+
 def test_missing_input_exits_with_usage_error(tmp_path, capsys):
     code = main(
         [
@@ -497,20 +513,31 @@ def test_train_rejects_malformed_wav(tmp_path, capsys, raw):
     assert err[0].startswith("error:") and str(wav) in err[0]
 
 
-@pytest.mark.parametrize("command", ["separate", "denoise"])
-def test_zero_hop_is_a_usage_error(tmp_path, capsys, command):
-    rng = np.random.default_rng(10)
+def _separate_args(tmp_path, rng, n_samples, k=9, rate=8000):
+    """`separate` args without outputs: one random model file (fft size
+    2 * (k - 1)) for both sources and a noise mixture."""
     model = str(tmp_path / "m.json")
-    save_model(_small_model(rng, k=9), model, train_q=0.1)  # fft size 16
+    save_model(_small_model(rng, k=k, i=min(3, k - 1)), model, train_q=0.1)
     mix = str(tmp_path / "mix.wav")
-    write_wav(mix, 0.1 * rng.standard_normal(100), 8000)
+    write_wav(mix, 0.1 * rng.standard_normal(n_samples), rate)
+    return ["separate", "--mixture", mix, "--model1", model, "--model2", model]
+
+
+def _model_command(tmp_path, command, rng, k=9, n_samples=100, rate=8000):
+    """Args of a whole `separate` or `denoise` run, without the hop, and the
+    output paths it writes."""
+    args = _separate_args(tmp_path, rng, n_samples, k, rate)
     out = [str(tmp_path / f"o{i}.wav") for i in range(2)]
     if command == "separate":
-        args = ["separate", "--mixture", mix, "--model1", model, "--model2", model,
-                "--out1", out[0], "--out2", out[1]]
-    else:
-        args = ["denoise", "--input", mix, "--speech-model", model,
-                "--noise-model", model, "--out", out[0]]
+        return args + ["--out1", out[0], "--out2", out[1]], out
+    mix, model = args[2], args[4]
+    return ["denoise", "--input", mix, "--speech-model", model,
+            "--noise-model", model, "--out", out[0]], out[:1]
+
+
+@pytest.mark.parametrize("command", ["separate", "denoise"])
+def test_zero_hop_is_a_usage_error(tmp_path, capsys, command):
+    args, _ = _model_command(tmp_path, command, np.random.default_rng(10))  # fft size 16
     assert main(args + ["--hop", "0"]) == 2
     assert "hop must be positive" in capsys.readouterr().err
 
@@ -519,22 +546,38 @@ def test_zero_hop_is_a_usage_error(tmp_path, capsys, command):
 def test_default_hop_of_a_two_bin_model_is_one(tmp_path, command):
     # fft_size // 4 is 0 at fft 2; the default hop must still be usable.
     rng = np.random.default_rng(11)
-    model = str(tmp_path / "m.json")
-    save_model(_small_model(rng, k=2, i=1), model, train_q=0.1)  # fft size 2
-    mix = str(tmp_path / "mix.wav")
-    write_wav(mix, 0.1 * rng.standard_normal(800), 8000)
-    out = [str(tmp_path / f"o{i}.wav") for i in range(2)]
-    if command == "separate":
-        args = ["separate", "--mixture", mix, "--model1", model, "--model2", model,
-                "--out1", out[0], "--out2", out[1]]
-    else:
-        args = ["denoise", "--input", mix, "--speech-model", model,
-                "--noise-model", model, "--out", out[0]]
+    args, written = _model_command(tmp_path, command, rng, k=2, n_samples=800)  # fft size 2
     assert main(args) == 0
-    written = out if command == "separate" else out[:1]
     for path in written:
         y, rate = read_wav(path)
         assert rate == 8000 and y.shape[0] == 800
+
+
+@pytest.mark.parametrize("command", ["separate", "denoise"])
+def test_hop_that_leaves_gaps_is_one_error_line(tmp_path, capsys, command):
+    # At fft 1024 the squared Hann windows of frames 1019 or more samples
+    # apart sum below istft's cutoff between them: those samples would be
+    # written as silence.
+    rng = np.random.default_rng(12)
+    args, written = _model_command(tmp_path, command, rng, k=513, n_samples=16000, rate=16000)
+    for hop in ("1019", "1024", "100000"):
+        assert main(args + ["--hop", hop]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "gaps" in err[0]
+        assert not any(Path(p).exists() for p in written)
+    assert main(args + ["--hop", "1018"]) == 0
+
+
+def test_train_hop_above_fft_is_one_error_line(tmp_path, capsys):
+    wav = str(tmp_path / "clip.wav")
+    write_wav(wav, 0.1 * np.random.default_rng(13).standard_normal(600), 8000)
+    out = tmp_path / "m.json"
+    args = ["train", wav, "--rank", "1", "--iters", "2", "--m", "1", "--fft", "128"]
+    assert main(args + ["--hop", "129", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "--hop" in err[0]
+    assert not out.exists()
+    assert main(args + ["--hop", "128", "--out", str(out)]) == 0
 
 
 def test_separate_pipeline_peak_memory(tmp_path):
@@ -574,12 +617,6 @@ def test_separate_pipeline_peak_memory(tmp_path):
         assert read_wav(path)[0].shape == (n,)
 
 
-def _separate_args(tmp_path, rng, n_samples):
-    model = str(tmp_path / "m.json")
-    save_model(_small_model(rng), model, train_q=0.1)  # fft size 16
-    mix = str(tmp_path / "mix.wav")
-    write_wav(mix, 0.1 * rng.standard_normal(n_samples), 8000)
-    return ["separate", "--mixture", mix, "--model1", model, "--model2", model]
 
 
 def test_separate_to_unopenable_path_is_one_error_line(tmp_path, capsys):
@@ -888,3 +925,97 @@ def test_random_csv_input_fails_cleanly(content):
             assert len(lines) == 1
             assert lines[0].startswith(("error:", "numerical failure:"))
             assert not out.exists()
+
+
+# Numeric flag values around every boundary the commands check: signed zeros,
+# the smallest subnormal, +-3100 dB (beyond 10 ** (snr / 10) in float64),
+# +-1e308, the infinities and NaN.
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 0.5, 1.0, -1.0, 3100.0, -3100.0,
+                   1e308, -1e308, float("inf"), float("-inf"), float("nan")]
+_FLOATS = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats()).map(repr)
+# Hops around the fft-16 window (15 is the largest without gaps), and huge.
+_HOPS = st.one_of(
+    st.sampled_from([0, -1, 1, 4, 15, 16, 17, 3100, -3100, 10**18, -(10**308)]),
+    st.integers(-20, 40),
+).map(str)
+# Count flags are requested work: only values that start no long run.
+_COUNTS = st.one_of(st.integers(-3, 3), st.sampled_from([-3100, -(10**308)])).map(str)
+
+
+def _run_flags(args, flags):
+    """Run ``main(args + --flag=value ...)``; return its exit code and the
+    lines it wrote to stderr."""
+    err = io.StringIO()
+    argv = args + [f"--{name}={value}" for name, value in flags.items()]
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+def _assert_clean_exit(code, err, outputs):
+    # The contract of every command: a documented exit code, and a failure
+    # is one stderr line that leaves no output file behind.
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert all(p.exists() for p in outputs)
+    else:
+        assert len(err) == 1, err
+        assert err[0].startswith(("error:", "numerical failure:")), err
+        assert not any(p.exists() for p in outputs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(flags=st.fixed_dictionaries({}, optional={"q": _FLOATS, "hop": _HOPS, "iters": _COUNTS}))
+def test_train_numeric_flags_fail_cleanly(flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        wav, out = Path(tmp) / "in.wav", Path(tmp) / "m.json"
+        write_wav(str(wav), 0.1 * np.random.default_rng(16).standard_normal(200), 8000)
+        code, err = _run_flags(
+            ["train", str(wav), "--rank", "1", "--m", "1", "--iters", "2",
+             "--fft", "16", "--out", str(out)], flags)
+        _assert_clean_exit(code, err, [out])
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(["separate", "denoise"]),
+       flags=st.fixed_dictionaries({}, optional={"q": _FLOATS, "hop": _HOPS,
+                                                 "inner-iters": _COUNTS}))
+def test_separate_and_denoise_numeric_flags_fail_cleanly(command, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        rng = np.random.default_rng(17)
+        args, written = _model_command(Path(tmp), command, rng, n_samples=200)
+        code, err = _run_flags(args, flags)
+        outputs = [Path(p) for p in written]
+        _assert_clean_exit(code, err, outputs)
+        if code == 0 and command == "separate":
+            # The two sources rebuild the mixture on every sample at least
+            # one fft (16) from either end: a hop that leaves gaps would
+            # write silence there.
+            mix, _ = read_wav(args[2])
+            y1, _ = read_wav(str(outputs[0]))
+            y2, _ = read_wav(str(outputs[1]))
+            span = slice(16, mix.shape[0] - 16)
+            assert np.max(np.abs(y1[span] + y2[span] - mix[span])) <= 2.0 / 32768.0
+
+
+# The experiment flags are checked on scaled-down scenarios, so that each
+# example runs in milliseconds.
+_TINY_TRACKING = functools.partial(TrackingScenario, fft_size=16, hop=16, n_frames=8,
+                                   peak_frame=4, snr_grid=(0.0, 10.0), runs=2)
+_TINY_SEPARATION = functools.partial(SeparationScenario, duration=0.1, rank=2, orders=(1,))
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario=st.sampled_from(["tracking", "separation"]),
+       flags=st.fixed_dictionaries({}, optional={
+           "snr": st.lists(_FLOATS, min_size=1, max_size=2).map(",".join),
+           "runs": _COUNTS,
+       }))
+def test_experiment_numeric_flags_fail_cleanly(scenario, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / "out.csv"
+        with mock.patch.object(dnmf.cli, "TrackingScenario", _TINY_TRACKING), \
+                mock.patch.object(dnmf.cli, "SeparationScenario", _TINY_SEPARATION):
+            code, err = _run_flags(
+                ["experiment", "--scenario", scenario, "--csv", str(csv)], flags)
+        _assert_clean_exit(code, err, [csv])

@@ -4,8 +4,8 @@ import pytest
 from dnmf.core import EPS
 from dnmf.dsp import (
     _WINSUM_CUTOFF,
+    _check_hop,
     _hann,
-    input_snr,
     istft,
     mix_at_snr,
     output_snr,
@@ -196,11 +196,11 @@ def test_wiener_validation():
     assert p1.shape == p2.shape == (0,)
 
 
-def test_input_snr_hand_value():
+def test_output_snr_hand_value():
     clean = np.array([1.0, 1.0, 1.0, 1.0])
     noisy = clean + np.array([0.1, -0.1, 0.1, -0.1])
     # 10 log10(4 / 0.04) = 20 dB
-    assert input_snr(clean, noisy) == pytest.approx(20.0, abs=1e-12)
+    assert output_snr(clean, noisy) == pytest.approx(20.0, abs=1e-12)
 
 
 def test_output_snr_perfect_estimate_is_infinite():
@@ -210,11 +210,7 @@ def test_output_snr_perfect_estimate_is_infinite():
 
 def test_snr_validation():
     with pytest.raises(ValueError):
-        input_snr(np.zeros(4), np.ones(4))
-    with pytest.raises(ValueError):
         output_snr(np.zeros(4), np.ones(4))
-    with pytest.raises(ValueError):
-        input_snr(np.ones(4), np.ones(4))  # zero noise => infinite
     with pytest.raises(ValueError):
         output_snr(np.ones(4), np.ones(5))
 
@@ -225,7 +221,7 @@ def test_mix_at_snr_hits_target_exactly():
     noise = rng.standard_normal(2000)
     for target in (-10.0, 0.0, 7.5, 30.0):
         mixed = mix_at_snr(sig, noise, target)
-        assert input_snr(sig, mixed) == pytest.approx(target, abs=1e-9)
+        assert output_snr(sig, mixed) == pytest.approx(target, abs=1e-9)
 
 
 def test_mix_at_snr_validation():
@@ -238,3 +234,44 @@ def test_mix_at_snr_validation():
         mix_at_snr(sig, np.ones(9), 0.0)
     with pytest.raises(ValueError):
         mix_at_snr(sig, sig, float("inf"))
+    # 10 ** (snr / 10) overflows (or underflows to 0), so the noise scale is 0
+    # or inf in float64.
+    for target in (3100.0, -3400.0, 1e308, -1e308):
+        with pytest.raises(ValueError, match="SNR"):
+            mix_at_snr(sig, sig, target)
+
+
+def test_mix_at_snr_extremes_inside_float64_still_mix():
+    sig = np.sin(np.linspace(0.0, 40.0, 200))
+    noise = np.random.default_rng(6).standard_normal(200)
+    for target in (3000.0, 5e-324, -0.0, -3000.0):
+        assert np.all(np.isfinite(mix_at_snr(sig, noise, target)))
+
+
+@pytest.mark.parametrize("fft_size, largest", [(1024, 1018), (512, 509), (128, 127), (16, 15)])
+def test_gap_free_hop_limit(fft_size, largest):
+    _check_hop(fft_size, largest)
+    for hop in (largest + 1, fft_size, fft_size + 1, 10**18):
+        with pytest.raises(ValueError, match="gaps"):
+            _check_hop(fft_size, hop)
+    for hop in (0, -1):
+        with pytest.raises(ValueError, match="hop must be positive"):
+            _check_hop(fft_size, hop)
+
+
+@pytest.mark.parametrize("fft_size", [16, 64, 256])
+def test_check_hop_agrees_with_istft_zeroing(fft_size):
+    # Interior samples of a long stream come out nonzero exactly at the hops
+    # the check accepts (every frame is nonzero near its window's edges).
+    rng = np.random.default_rng(7)
+    for hop in range(1, fft_size + 2):
+        n_frames = 2 * (fft_size // hop + 2)
+        frames = np.fft.rfft(rng.uniform(0.5, 1.0, size=(n_frames, fft_size)), axis=1).T
+        out = istft(frames, hop)
+        interior = out[fft_size : (n_frames - 1) * hop]
+        try:
+            _check_hop(fft_size, hop)
+        except ValueError:
+            assert np.any(interior == 0.0), hop
+        else:
+            assert np.all(interior != 0.0), hop

@@ -153,7 +153,7 @@ def _frozen_train(x, rank, order, cfg):
                 _frozen_simplex_update(counts_t[t], pred, out=hist[order + t])
             h = np.ascontiguousarray(hist[order:].T)
         if order > 0 and it >= cfg.prior_start:
-            stacked = estimate_nvar(h, stacked, build_lag_matrix(h, order), sweeps=1)
+            stacked = estimate_nvar(h, stacked, build_lag_matrix(h, order))
     lags = np.hsplit(stacked, order)[::-1] if order else []
     return w, h, lags
 
