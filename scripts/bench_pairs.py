@@ -16,9 +16,11 @@ holds: ``<workload>_pairs`` (every run's result, the order it ran in and the
 output fingerprints, and ``outputs_identical``: whether both sides wrote the
 same bytes) and ``<workload>_summary`` (per metric and side: median, quartiles,
 min and max, plus the number of pairs the change won, ties counting for
-neither; under ``outputs_identical``, how many pairs wrote identical outputs).
-``machine`` and ``commands`` are filled in too.  "Better" for each metric comes
-from the change checkout's ``BENCHMARK.json``.
+neither, the metric's ``bound`` and ``worse_beyond_bound``: whether the
+change's median is worse than the parent's by more than ``bound`` times the
+parent's median; under ``outputs_identical``, how many pairs wrote identical
+outputs).  ``machine`` and ``commands`` are filled in too.  "Better" and the
+bound of each metric come from the change checkout's ``BENCHMARK.json``.
 
 The script exits 1, after writing the file, when any run reported
 ``"correct": false``.
@@ -69,7 +71,9 @@ def cpu_model() -> str:
     return "unknown"
 
 
-def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
+def summarise(pairs: list[dict], spec: dict[str, dict]) -> dict:
+    """Per-metric summary rows; ``spec`` maps a metric name to its
+    ``BENCHMARK.json`` entry (``better`` and ``bound``)."""
     summary = {}
     for metric in pairs[0]["parent"]["metrics"]:
         values = {side: [p[side]["metrics"][metric]["value"] for p in pairs] for side in SIDES}
@@ -78,10 +82,14 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
             q1, med, q3 = np.percentile(values[side], [25, 50, 75])
             row[side] = {"median": float(med), "q1": float(q1), "q3": float(q3),
                          "min": float(min(values[side])), "max": float(max(values[side]))}
-        sign = -1.0 if better[metric.rsplit(".", 1)[-1]] == "lower" else 1.0
+        entry = spec[metric.rsplit(".", 1)[-1]]
+        sign = -1.0 if entry["better"] == "lower" else 1.0
         row["change_wins"] = sum(sign * (c - p) > 0.0
                                  for p, c in zip(values["parent"], values["change"]))
         row["pairs"] = len(pairs)
+        parent, change = row["parent"]["median"], row["change"]["median"]
+        row["bound"] = entry["bound"]
+        row["worse_beyond_bound"] = sign * (parent - change) > entry["bound"] * abs(parent)
         summary[metric] = row
     summary["outputs_identical"] = {"pairs": len(pairs),
                                     "identical": sum(p["outputs_identical"] for p in pairs)}
@@ -101,7 +109,7 @@ def main() -> int:
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     pairs, machine, failed = [], None, 0
     for i, seed in enumerate(args.seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -130,7 +138,7 @@ def main() -> int:
     doc.setdefault("commands", {})[f"{args.workload}_pairs"] = (
         f"python3 bench/run.py --workload {args.workload} --seed <seed> "
         f"--seconds {args.seconds:g} in each checkout, one run at a time ({order_note})")
-    doc[f"{args.workload}_summary"] = summarise(pairs, better)
+    doc[f"{args.workload}_summary"] = summarise(pairs, metrics)
     doc[f"{args.workload}_pairs"] = pairs
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     if failed:

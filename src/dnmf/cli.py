@@ -161,69 +161,42 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _separate_pipeline(
-    mixture_path: str,
-    model_a_path: str,
-    model_b_path: str,
-    hop: int | None,
-):
-    """Load both models and the mixture WAV's STFT for separation.
-
-    Returns ``(spec, model_a, model_b, hop, n, rate)``: the mixture's complex
-    frames, the two models, the hop that inverts the frames, the mixture's
-    sample count (the inverted signals are trimmed to it) and its sample
-    rate.  Each command masks the frames with :func:`separate_sources` and
-    inverts only what it writes.
-    """
-    model_a, _, _ = load_model(model_a_path)
-    model_b, _, _ = load_model(model_b_path)
+def cmd_separate(args: argparse.Namespace) -> int:
+    """``separate``, and ``denoise``, which is ``separate`` with ``out2=None``."""
+    model_a, _, _ = load_model(args.model1)
+    model_b, _, _ = load_model(args.model2)
     fft_size = 2 * (model_a.n_features - 1)
     if fft_size < 2 or fft_size & (fft_size - 1):
         raise ValueError(
             f"model spectrum size {model_a.n_features} does not correspond "
             "to a power-of-two FFT"
         )
-    hop = hop if hop is not None else max(1, fft_size // 4)
+    hop = args.hop if args.hop is not None else max(1, fft_size // 4)
     _check_hop(fft_size, hop)
-    samples, rate = _read_signal(mixture_path, fft_size)
+    samples, rate = _read_signal(args.mixture, fft_size)
     n = samples.shape[0]
     # Zero-pad so the last frame reaches the final sample; outputs are trimmed to n.
     samples = np.pad(samples, (0, (fft_size - n) % hop))
     spec = stft(samples, fft_size, hop)
-    return spec, model_a, model_b, hop, n, rate
-
-
-def cmd_separate(args: argparse.Namespace) -> int:
-    spec, model_a, model_b, hop, n, rate = _separate_pipeline(
-        args.mixture, args.model1, args.model2, args.hop
-    )
-    mix = istft(spec, hop)[:n]  # before separate_sources masks the frames in place
+    del samples  # no signal-length array stays alive across the inverse transforms
+    if args.out2 is not None:
+        mix = istft(spec, hop)[:n]  # before separate_sources masks the frames in place
     separate_sources(spec, model_a, model_b, args.q, args.inner_iters)
     out1 = istft(spec, hop)[:n]
-    del spec
+    del spec  # freed before write_wav makes its temporaries
+    write_wav(args.out1, out1, rate)
+    if args.out2 is None:
+        print(f"wrote {args.out1}")
+        return 0
     # istft is linear, so the second source is the mixture's resynthesis
     # minus the first, and the two outputs sum to it up to rounding.
-    out2 = mix
-    out2 -= out1
-    write_wav(args.out1, out1, rate)
+    mix -= out1
     try:
-        write_wav(args.out2, out2, rate)
+        write_wav(args.out2, mix, rate)
     except BaseException:
         os.remove(args.out1)  # leave no half of a failed separation behind
         raise
     print(f"wrote {args.out1} and {args.out2}")
-    return 0
-
-
-def cmd_denoise(args: argparse.Namespace) -> int:
-    spec, speech_model, noise_model, hop, n, rate = _separate_pipeline(
-        args.input, args.speech_model, args.noise_model, args.hop
-    )
-    separate_sources(spec, speech_model, noise_model, args.q, args.inner_iters)
-    speech = istft(spec, hop)[:n]
-    del spec  # freed before write_wav makes its temporaries
-    write_wav(args.out, speech, rate)
-    print(f"wrote {args.out}")
     return 0
 
 
@@ -266,8 +239,16 @@ def cmd_track(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raise a bad command line as ``ValueError``, for :func:`main` to report
+    as one ``error:`` line; the subcommand parsers inherit this class."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dnmf",
         description="Dynamic NMF: training, filtering, separation, benchmarks.",
     )
@@ -299,14 +280,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_separate)
 
     p = sub.add_parser("denoise", help="extract the speech estimate from noisy audio")
-    p.add_argument("--input", required=True)
-    p.add_argument("--speech-model", required=True)
-    p.add_argument("--noise-model", required=True)
+    p.add_argument("--input", dest="mixture", metavar="INPUT", required=True)
+    p.add_argument("--speech-model", dest="model1", metavar="SPEECH_MODEL", required=True)
+    p.add_argument("--noise-model", dest="model2", metavar="NOISE_MODEL", required=True)
     p.add_argument("--q", type=float, default=0.3, help="annealing exponent")
     p.add_argument("--hop", type=int, default=None, help="default: fft/4, at least 1")
     p.add_argument("--inner-iters", type=int, default=1)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_denoise)
+    p.add_argument("--out", dest="out1", metavar="OUT", required=True)
+    p.set_defaults(func=cmd_separate, out2=None)
 
     p = sub.add_parser("experiment", help="run a benchmark scenario to CSV")
     p.add_argument("--scenario", choices=("tracking", "separation"), required=True)
@@ -333,9 +314,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         # Finite input can still overflow float64 (data or lag entries near
         # 1e308); stop at the first such operation rather than warn and carry
         # inf/NaN on until some later check misreports it as bad input.

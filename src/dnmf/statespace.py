@@ -285,6 +285,10 @@ def _simplex_update(
     if inv is None:
         out = np.divide(1.0, eta, out=out)
         out += beta
+        # Only a zero count can have 1/eta + beta <= 0 (it may sit exactly on
+        # the root); raising that to the smallest positive float leaves every
+        # positive denominator as it is and makes the entry 0, not 0/0.
+        np.maximum(out, 5e-324, out=out)
         np.divide(c, out, out=out)
     else:
         out = np.divide(c, inv + beta, out=out)
@@ -416,13 +420,11 @@ def train(
     ------
     ValueError
         For data that is not a finite, nonnegative 2-D matrix, and for
-        ``rank < 1`` or ``order < 0``.  Float64 overflow (finite entries
-        near 1e308) ends the same way: numpy first prints
-        ``RuntimeWarning``s, then the normalizer raises
-        ``ValueError("counts and prior means must be finite")``.  Under
-        ``np.errstate(over="raise", invalid="raise", divide="raise")``, as
-        the CLI runs, the first overflow raises ``FloatingPointError``
-        instead.
+        ``rank < 1`` or ``order < 0``.
+    FloatingPointError
+        At the first float64 overflow, invalid operation or division by
+        zero (finite entries near 1e308 overflow): the iterations run under
+        ``np.errstate(over="raise", invalid="raise", divide="raise")``.
     """
     cfg = config if config is not None else TrainConfig()
     data = nonneg_matrix(x, name="data")
@@ -432,51 +434,52 @@ def train(
         raise ValueError("order must be nonnegative")
     nfeat, nframes = data.shape
 
-    rng = np.random.default_rng(cfg.seed)
-    xf = np.maximum(data, EPS)
-    # Seed the basis with randomly chosen data frames (jittered so no two
-    # columns coincide): every component then starts as a spectrum the data
-    # actually contains, which spreads the dictionary over the signal's
-    # states far more reliably than blind noise.
-    picks = rng.choice(nframes, size=rank, replace=nframes < rank)
-    jitter = rng.uniform(0.05, 0.15, size=(nfeat, rank))
-    w = normalize_columns(xf[:, picks] / xf[:, picks].mean(axis=0) + jitter)
-    h = normalize_columns(rng.uniform(0.1, 1.1, size=(rank, nframes)))
-    # The lags side by side, [A_J ... A_1], until they are split at the end.
-    stacked = _stack_lags(rng.uniform(0.1, 1.1, size=(order, rank, rank))) if order else None
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        rng = np.random.default_rng(cfg.seed)
+        xf = np.maximum(data, EPS)
+        # Seed the basis with randomly chosen data frames (jittered so no two
+        # columns coincide): every component then starts as a spectrum the data
+        # actually contains, which spreads the dictionary over the signal's
+        # states far more reliably than blind noise.
+        picks = rng.choice(nframes, size=rank, replace=nframes < rank)
+        jitter = rng.uniform(0.05, 0.15, size=(nfeat, rank))
+        w = normalize_columns(xf[:, picks] / xf[:, picks].mean(axis=0) + jitter)
+        h = normalize_columns(rng.uniform(0.1, 1.1, size=(rank, nframes)))
+        # The lags side by side, [A_J ... A_1], until they are split at the end.
+        stacked = _stack_lags(rng.uniform(0.1, 1.1, size=(order, rank, rank))) if order else None
 
-    ratio = np.empty_like(xf)  # x / (W @ h), rewritten in place each iteration
-    anneal = cfg.anneal
-    for it in range(1, cfg.iters + 1):
-        # E-step and basis update depend only on the previous iterate.
-        hs = np.maximum(h, EPS)
-        np.matmul(w, hs, out=ratio)
-        np.maximum(ratio, EPS, out=ratio)
-        np.divide(xf, ratio, out=ratio)
-        counts = w.T @ ratio
-        counts *= hs
-        w = normalize_columns(w * (ratio @ hs.T))
-        if order == 0 or it <= cfg.prior_start:
-            # Uniform prior means: every frame decouples.
-            counts /= counts.sum(axis=0)
-            h = counts
-        else:
-            # Time-major history: ``order`` all-ones rows, then one row per
-            # frame; rows t .. t + order - 1 are frame t's past, already
-            # updated in this iteration, as [A_J ... A_1] expects them.
-            hist = np.ones((order + nframes, rank))
-            flat = hist.ravel()  # a view: frame t's past is one flat slice
-            counts_t = np.ascontiguousarray(counts.T)
-            for t in range(nframes):
-                pred = stacked.dot(flat[t * rank : (t + order) * rank])
-                np.maximum(pred, EPS, out=pred)
-                pred **= anneal
-                _simplex_update(counts_t[t], pred, out=hist[order + t])
-            h = np.ascontiguousarray(hist[order:].T)
-        if order > 0 and it >= cfg.prior_start:
-            stacked = estimate_nvar(h, stacked, build_lag_matrix(h, order))
+        ratio = np.empty_like(xf)  # x / (W @ h), rewritten in place each iteration
+        anneal = cfg.anneal
+        for it in range(1, cfg.iters + 1):
+            # E-step and basis update depend only on the previous iterate.
+            hs = np.maximum(h, EPS)
+            np.matmul(w, hs, out=ratio)
+            np.maximum(ratio, EPS, out=ratio)
+            np.divide(xf, ratio, out=ratio)
+            counts = w.T @ ratio
+            counts *= hs
+            w = normalize_columns(w * (ratio @ hs.T))
+            if order == 0 or it <= cfg.prior_start:
+                # Uniform prior means: every frame decouples.
+                counts /= counts.sum(axis=0)
+                h = counts
+            else:
+                # Time-major history: ``order`` all-ones rows, then one row per
+                # frame; rows t .. t + order - 1 are frame t's past, already
+                # updated in this iteration, as [A_J ... A_1] expects them.
+                hist = np.ones((order + nframes, rank))
+                flat = hist.ravel()  # a view: frame t's past is one flat slice
+                counts_t = np.ascontiguousarray(counts.T)
+                for t in range(nframes):
+                    pred = stacked.dot(flat[t * rank : (t + order) * rank])
+                    np.maximum(pred, EPS, out=pred)
+                    pred **= anneal
+                    _simplex_update(counts_t[t], pred, out=hist[order + t])
+                h = np.ascontiguousarray(hist[order:].T)
+            if order > 0 and it >= cfg.prior_start:
+                stacked = estimate_nvar(h, stacked, build_lag_matrix(h, order))
 
-    return DnmfModel(basis=w, lags=np.hsplit(stacked, order)[::-1] if order else []), h
+        return DnmfModel(basis=w, lags=np.hsplit(stacked, order)[::-1] if order else []), h
 
 
 # Floor applied to the prediction before it seeds the EM refinement.  The
@@ -519,10 +522,14 @@ def filter_frame(state: FilterState, x: Array) -> Array:
     ------
     ValueError
         For a frame of the wrong length or with a negative, NaN or
-        infinite entry, and, after numpy's ``RuntimeWarning``s, for float64
-        overflow in the prediction or the refinement (as in :func:`train`,
-        whose note on ``np.errstate`` applies here too).  ``state`` is then
-        left unchanged.
+        infinite entry.  Float64 overflow in the prediction or the
+        refinement follows the caller's ``np.errstate``: numpy's default
+        prints ``RuntimeWarning``s, after which the normalizer raises
+        ``ValueError("counts and prior means must be finite")``;
+        ``over="raise"`` raises ``FloatingPointError`` at the first overflow.
+        This function sets no ``np.errstate`` of its own, which would cost
+        more per frame than :func:`filter_stream`'s once per call.  Either
+        way ``state`` is left unchanged.
     """
     model = state.model
     x = np.asarray(x, dtype=np.float64)
@@ -578,15 +585,22 @@ def filter_stream(state: FilterState, frames: Array) -> Array:
     ------
     ValueError
         For ``frames`` that are not 2-D with ``model.n_features`` rows, and
-        wherever :func:`filter_frame` raises, float64 overflow included;
-        the frames before the failing one stay in ``state``'s history.
+        wherever :func:`filter_frame` raises.
+    FloatingPointError
+        At the first float64 overflow, invalid operation or division by
+        zero: the frames run under ``np.errstate(over="raise",
+        invalid="raise", divide="raise")``.
+
+    Either way the frames before the failing one stay in ``state``'s
+    history, and the failing frame leaves ``state`` unchanged.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] != state.model.n_features:
         raise ValueError(f"frames must be 2-D with {state.model.n_features} rows")
     h = np.empty((state.model.n_components, frames.shape[1]))
-    for t in range(frames.shape[1]):
-        h[:, t] = filter_frame(state, frames[:, t])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for t in range(frames.shape[1]):
+            h[:, t] = filter_frame(state, frames[:, t])
     return h
 
 

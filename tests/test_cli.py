@@ -1019,3 +1019,98 @@ def test_experiment_numeric_flags_fail_cleanly(scenario, flags):
             code, err = _run_flags(
                 ["experiment", "--scenario", scenario, "--csv", str(csv)], flags)
         _assert_clean_exit(code, err, [csv])
+
+
+# Text that no int flag accepts: float spellings, the empty string, hex.
+_NOT_INTS = st.sampled_from(["nan", "inf", "1e308", "5e-324", "", "0x10"])
+
+
+def _ints(values, lo, hi):
+    """An int flag's text: small integers, the given extremes, or non-integers."""
+    return st.one_of(st.integers(lo, hi).map(str), st.sampled_from(values).map(str), _NOT_INTS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(flags=st.fixed_dictionaries({}, optional={
+    # --fft above the 200-sample input is rejected before anything is allocated,
+    # a --rank or --order of 10**15 fails its first allocation request at once.
+    "fft": _ints([0, -1, 1, 2, 3, 10**18, -(10**308)], -3, 40),
+    "rank": _ints([0, -1, 10**15, -(10**308)], -2, 6),
+    "order": _ints([-1, 10**15, -(10**308)], -2, 3),
+    "m": _ints([0, -1, 10**18, -(10**308)], -3, 4),
+    "seed": _ints([-1, 2**64, 10**40, -(10**308)], -3, 3),
+}))
+def test_train_size_and_seed_flags_fail_cleanly(flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        wav, out = Path(tmp) / "in.wav", Path(tmp) / "m.json"
+        write_wav(str(wav), 0.1 * np.random.default_rng(18).standard_normal(200), 8000)
+        code, err = _run_flags(
+            ["train", str(wav), "--rank", "1", "--iters", "2", "--m", "1",
+             "--fft", "16", "--hop", "4", "--out", str(out)], flags)
+        _assert_clean_exit(code, err, [out])
+
+
+@settings(max_examples=40, deadline=None)
+@given(flags=st.fixed_dictionaries({}, optional={
+    "q": _FLOATS, "inner-iters": st.one_of(_COUNTS, _NOT_INTS)}))
+def test_track_numeric_flags_fail_cleanly(flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        wav, out = Path(tmp) / "in.wav", Path(tmp) / "track.csv"
+        write_wav(str(wav), 0.1 * np.random.default_rng(19).standard_normal(640), 8000)
+        code, err = _run_flags(["track", str(wav), "--out", str(out)], flags)
+        _assert_clean_exit(code, err, [out])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "x.wav", "--rank=nan", "--out", "m.json"],
+     "error: dnmf train: argument --rank: invalid int value: 'nan'"),
+    (["train", "x.wav", "--rank", "2", "--fft=1e308", "--out", "m.json"],
+     "error: dnmf train: argument --fft: invalid int value: '1e308'"),
+    (["train", "x.wav", "--rank", "2", "--seed=inf", "--out", "m.json"],
+     "error: dnmf train: argument --seed: invalid int value: 'inf'"),
+    (["track", "x.wav", "--inner-iters=5e-324", "--out", "t.csv"],
+     "error: dnmf track: argument --inner-iters: invalid int value: '5e-324'"),
+    (["train", "x.wav", "--out", "m.json"],
+     "error: dnmf train: the following arguments are required: --rank"),
+    (["separate", "--mixture", "x.wav"], "error: dnmf separate: the following arguments"),
+    (["train", "x.wav", "--rank", "2", "--out", "m.json", "--bogus"],
+     "error: dnmf: unrecognized arguments: --bogus"),
+    ([], "error: dnmf: the following arguments are required: command"),
+])
+def test_bad_command_line_is_one_error_line(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(message), err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train", "separate", "denoise", "experiment", "track"])
+def test_help_still_exits_zero(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: dnmf {command}")
+
+
+def test_denoise_help_names_its_own_flags(capsys):
+    # denoise stores its flags under separate's names; the help keeps its own.
+    with pytest.raises(SystemExit):
+        main(["denoise", "--help"])
+    out = capsys.readouterr().out
+    for flag in ("--input INPUT", "--speech-model SPEECH_MODEL",
+                 "--noise-model NOISE_MODEL", "--out OUT"):
+        assert flag in out
+    assert "--out2" not in out and "--mixture" not in out
+
+
+def test_separate_to_empty_second_path_leaves_no_first_output(tmp_path, capsys):
+    # An empty --out2 is a path that cannot be opened, not a missing one.
+    args = _separate_args(tmp_path, np.random.default_rng(20), 800)
+    out1 = tmp_path / "o1.wav"
+    assert main(args + ["--out1", str(out1), "--out2", ""]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out1.exists()

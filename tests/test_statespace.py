@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,6 +273,18 @@ def test_solve_beta_pole_ties_match_newton_reference():
 
 # ---------------------------------------------------------------------------
 # single-frame EM update (_em_step)
+
+
+def test_simplex_update_zero_count_on_the_root_is_zero():
+    # Only the last entry has a count, so beta = 1/3 - 1/0.3 = -3 exactly,
+    # and the zero-count entry with 1/eta = 3 sits on it: its denominator
+    # 1/eta + beta is 0, and 0/0 must not make the whole update NaN.
+    c = np.array([0.0, 0.0, 0.0, 1.0 / 3.0])
+    eta = np.array([1.0, 0.5, 1.0 / 3.0, 0.3])
+    assert solve_beta(c, eta) == -3.0
+    h = _simplex_update(c, eta)
+    assert np.array_equal(h, [0.0, 0.0, 0.0, 1.0])
+    assert not np.any(np.signbit(h))
 
 
 def test_update_state_uniform_prior_is_normalized_counts():
@@ -600,6 +614,16 @@ def test_train_validation():
         train(-np.ones((4, 6)), 2, 1)
 
 
+def test_train_overflow_raises_floating_point_error():
+    # Finite data near 1e308 overflows float64 in the first E-step: the
+    # error is raised there, with no RuntimeWarning first.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(FloatingPointError):
+            train(np.full((4, 6), 1e308), 2, 1, TrainConfig(iters=4, prior_start=2))
+    assert caught == []
+
+
 # ---------------------------------------------------------------------------
 # filtering
 
@@ -773,6 +797,41 @@ def test_filter_stream_empty_and_validation():
         filter_stream(state, np.ones(5))
     with pytest.raises(ValueError):
         filter_stream(state, np.ones((4, 3)))
+
+
+def test_filter_stream_overflow_raises_and_keeps_state():
+    # Finite lag entries near 1e308 overflow the prediction of frame 2 (two
+    # lags times simplex rows: about 2e308); frames 0 and 1 stay in the
+    # history, and the failing frame leaves none.
+    rng = np.random.default_rng(83)
+    model = _random_model(rng, k=5, i=3, order=2)
+    frames = rng.uniform(0.1, 1.0, size=(5, 4))
+    state = FilterState(model)
+    filter_stream(state, frames[:, :2])
+    before = state.history.copy()
+    state._lag_stack[:] = 1e308  # the state's own copy of the lags
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(FloatingPointError):
+            filter_stream(state, frames[:, 2:])
+    assert caught == []
+    assert np.array_equal(state.history, before)
+
+
+def test_filter_frame_overflow_keeps_numpy_error_handling():
+    # A direct filter_frame call runs under the caller's np.errstate: numpy's
+    # default warns, and the non-finite counts then fail the normalizer.
+    rng = np.random.default_rng(84)
+    model = _random_model(rng, k=5, i=3, order=1)
+    model.lags[0][:] = 1e308
+    state = FilterState(model)
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match="must be finite"):
+            filter_frame(state, rng.uniform(0.1, 1.0, size=5))
+    assert np.array_equal(state.history, np.ones((1, 3)))
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        filter_frame(state, rng.uniform(0.1, 1.0, size=5))
 
 
 # ---------------------------------------------------------------------------
