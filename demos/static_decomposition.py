@@ -2,15 +2,15 @@
 Factoring a nonnegative matrix into parts and gains
 ===================================================
 
-A short tour of the static model: synthesize a spectrogram-like matrix
-from two known spectral prototypes with smoothly varying gains, factor
-it blind, and check that EM drives the divergence down and recovers the
-prototypes.
+A short tour of the static model, ``train`` at order 0 (no temporal
+prior): synthesize a spectrogram-like matrix from two known spectral
+prototypes with smoothly varying gains, factor it blind, and check that
+EM drives the divergence down and recovers the prototypes.
 """
 
 import numpy as np
 
-from dnmf import fit_static_plca, is_divergence
+from dnmf import TrainConfig, is_divergence, train
 
 # Two overlapping Gaussian bumps over 48 frequency bins play the role of
 # spectral prototypes; their gains trade off sinusoidally over 120 frames.
@@ -29,13 +29,14 @@ x += rng.uniform(0.0, 0.02, x.shape)  # light measurement noise
 mass = x.sum(axis=0)
 print("EM progress (rank 2):")
 for iters in (1, 5, 25, 100):
-    w, h = fit_static_plca(x, rank=2, iters=iters, seed=0)
-    div = is_divergence(x, (w @ h) * mass)
+    model, h = train(x, 2, 0, TrainConfig(iters=iters, prior_start=0))
+    div = is_divergence(x, (model.basis @ h) * mass)
     print(f"  iters={iters:3d}  divergence={div:10.4f}")
 
 # The learned dictionary columns should line up with the prototypes (in
 # some order -- the factorization has no preferred component ordering).
-w, h = fit_static_plca(x, rank=2, iters=100, seed=0)
+model, h = train(x, 2, 0, TrainConfig(iters=100, prior_start=0))
+w = model.basis
 truth = np.stack([proto1 / proto1.sum(), proto2 / proto2.sum()], axis=1)
 corr = np.corrcoef(w.T, truth.T)[:2, 2:]
 print("\nlearned component vs. true prototype correlations:")

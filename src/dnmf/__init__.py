@@ -11,7 +11,6 @@ importable from the modules that define them (``dnmf.core``, ``dnmf.plca``,
 """
 from .core import EPS, is_divergence
 from .dsp import istft, mix_at_snr, output_snr, stft
-from .plca import fit_static_plca
 from .statespace import (
     ConvergenceError,
     DnmfModel,
@@ -31,7 +30,6 @@ __all__ = [
     "EPS",
     "__version__",
     "is_divergence",
-    "fit_static_plca",
     "ConvergenceError",
     "DnmfModel",
     "TrainConfig",

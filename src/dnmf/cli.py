@@ -163,6 +163,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_separate(args: argparse.Namespace) -> int:
     """``separate``, and ``denoise``, which is ``separate`` with ``out2=None``."""
+    if args.out2 is not None and os.path.realpath(args.out1) == os.path.realpath(args.out2):
+        raise ValueError(f"--out1 {args.out1} and --out2 {args.out2} are the same file")
     model_a, _, _ = load_model(args.model1)
     model_b, _, _ = load_model(args.model2)
     fft_size = 2 * (model_a.n_features - 1)
@@ -260,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=1, help="autoregressive order")
     p.add_argument("--iters", type=int, default=TrainConfig.iters)
     p.add_argument("--m", type=int, default=TrainConfig.prior_start,
-                   help="iteration enabling the prior")
+                   help="iteration enabling the prior (default %(default)s, at most --iters)")
     p.add_argument("--q", type=float, default=TrainConfig.anneal, help="annealing exponent")
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--fft", type=int, default=1024, help="FFT size for WAV input")

@@ -104,7 +104,9 @@ class TrainConfig:
     engages: lag matrices are re-estimated from that iteration on, and
     coefficient updates start using predictions one iteration later.
     ``anneal`` tempers predictions elementwise (``eta ** anneal``) so early
-    dynamic iterations cannot lock the coefficients too hard.
+    dynamic iterations cannot lock the coefficients too hard.  At order 0
+    (static PLCA) ``prior_start`` has no effect but must still lie in
+    ``[0, iters]``, so short static runs pass ``prior_start=0``.
     """
 
     iters: int = 100
@@ -114,11 +116,13 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if self.iters < 1:
-            raise ValueError("iters must be at least 1")
+            raise ValueError(f"iters {self.iters} must be at least 1")
         if not 0 <= self.prior_start <= self.iters:
-            raise ValueError("prior_start must lie in [0, iters]")
+            raise ValueError(
+                f"prior_start {self.prior_start} must lie in [0, iters={self.iters}]"
+            )
         if not 0.0 < self.anneal <= 1.0:
-            raise ValueError("anneal must lie in (0, 1]")
+            raise ValueError(f"anneal {self.anneal} must lie in (0, 1]")
 
 
 class FilterState:

@@ -20,7 +20,6 @@ USER_API = {
     "EPS",
     "__version__",
     "is_divergence",
-    "fit_static_plca",
     "ConvergenceError",
     "DnmfModel",
     "TrainConfig",
@@ -43,7 +42,6 @@ MODULE_ONLY = {
     "nonneg_matrix": "dnmf.core",
     "stochastic_matrix": "dnmf.core",
     "normalize_columns": "dnmf.core",
-    "is_nmf_update_h": "dnmf.plca",
     "is_nmf_update_w": "dnmf.plca",
     "solve_beta": "dnmf.statespace",
     "build_lag_matrix": "dnmf.statespace",
@@ -124,3 +122,46 @@ def test_bench_layer_functions_resolve_in_src(monkeypatch):
         assert callable(fn), f"{mod_name}.{func_name} is gone"
         assert fn.__module__ == mod_name, f"{mod_name}.{func_name} is defined in {fn.__module__}"
         assert Path(inspect.getsourcefile(fn)).resolve().is_relative_to(SRC / "dnmf")
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Identifiers a tree reads as a ``Name`` or an ``Attribute``."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_submodule_export_has_a_caller():
+    """Each name in a ``dnmf`` submodule's ``__all__`` is used somewhere else.
+
+    A use is a ``Name`` or ``Attribute`` in ``src/dnmf`` outside the name's
+    own definition (imports and the ``__init__`` re-export do not count), a
+    ``Name``, ``Attribute`` or string in ``bench/*.py``, or a word in
+    ``pyproject.toml``.  ``dsp.wiener_reconstruct`` passes only through the
+    string binding in ``bench/tracer.py``, which traces it as a layer.
+    """
+    def parse(path):
+        return ast.parse(path.read_text(encoding="utf-8"))
+
+    outside = set(re.findall(r"\w+", (ROOT / "pyproject.toml").read_text(encoding="utf-8")))
+    for tree in map(parse, sorted((ROOT / "bench").glob("*.py"))):  # parsed, not imported
+        outside |= _names_read(tree)
+        outside |= {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
+                    and isinstance(n.value, str)}
+    # (module, the name a top-level statement defines or None, the names it reads)
+    statements = [
+        (path.stem, getattr(node, "name", None), _names_read(node))
+        for path in sorted((SRC / "dnmf").glob("*.py"))
+        for node in parse(path).body
+    ]
+    dead = [
+        f"dnmf.{module}.{name}"
+        for module in sorted({m for m, _, _ in statements} - {"__init__"})
+        for name in importlib.import_module(f"dnmf.{module}").__all__
+        if name not in outside.union(*(
+            reads for m, defines, reads in statements if (m, defines) != (module, name)
+        ))
+    ]
+    assert dead == []

@@ -1114,3 +1114,47 @@ def test_separate_to_empty_second_path_leaves_no_first_output(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert not out1.exists()
+
+
+@pytest.mark.parametrize("out2", ["a.wav", "./a.wav", "sub/../a.wav", "link.wav"])
+def test_separate_to_one_path_twice_is_one_error_line(tmp_path, capsys, monkeypatch, out2):
+    # Both outputs resolving to one file would leave only source 2 in it.
+    monkeypatch.chdir(tmp_path)
+    args = _separate_args(tmp_path, np.random.default_rng(23), 800)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.wav").symlink_to(tmp_path / "a.wav")
+    assert main(args + ["--out1", "a.wav", "--out2", out2]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "same file" in err[0], err
+    assert not (tmp_path / "a.wav").exists()
+
+
+def test_train_prior_start_above_iters_names_both_values(tmp_path, capsys):
+    csv = tmp_path / "d.csv"
+    np.savetxt(csv, np.random.default_rng(21).uniform(0.1, 1.0, size=(4, 6)), delimiter=",")
+    out = tmp_path / "m.json"
+    assert main(["train", str(csv), "--rank", "1", "--iters", "30", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: prior_start 50 must lie in [0, iters=30]"]
+    assert not out.exists()
+
+
+@settings(max_examples=60, deadline=None)
+@given(flags=st.fixed_dictionaries({}, optional={
+    # Sizes stay small by value: a 10**15 --rank or --order fails its first
+    # allocation at once, and --iters never asks for a long run.
+    "rank": _ints([0, -1, 10**15, -(10**308)], -2, 5),
+    "order": _ints([-1, 10**15, -(10**308)], -2, 3),
+    "iters": _ints([0, -1, -(10**308)], -2, 4),
+    "m": _ints([0, -1, 10**18, -(10**308)], -3, 5),
+    "q": _FLOATS,
+    "seed": _ints([-1, 2**64, 10**40, -(10**308)], -3, 3),
+}))
+def test_train_flags_on_csv_fail_cleanly(flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        csv, out = Path(tmp) / "in.csv", Path(tmp) / "m.json"
+        np.savetxt(csv, np.random.default_rng(22).uniform(0.0, 1.0, size=(4, 6)), delimiter=",")
+        code, err = _run_flags(
+            ["train", str(csv), "--rank", "1", "--iters", "2", "--m", "1",
+             "--out", str(out)], flags)
+        _assert_clean_exit(code, err, [out])
