@@ -14,7 +14,6 @@ import os
 
 from dnmf import (
     TrainConfig,
-    istft,
     mix_at_snr,
     output_snr,
     stft,
@@ -51,18 +50,15 @@ print(f"\ndynamic-vs-static gap: {max(dyn_means) - static_mean:+.2f} dB at the "
 s1, s2 = gen_chirp_pair(scenario)
 mixture = mix_at_snr(s1, s2, scenario.mix_snr_db)
 sr, nfft, hop = scenario.sample_rate, scenario.fft_size, scenario.hop
-mix_spec = stft(mixture, nfft, hop)
 models = []
 for src, ref in ((1, s1), (2, mixture - s1)):
     mag = np.abs(stft(ref, nfft, hop))
     model, _ = train(mag, scenario.rank, 1, TrainConfig(seed=src * 9973))
     models.append(model)
-# separate_sources masks the spectrogram in place down to source 1's frames,
-# keeping the mixture phase.  istft is linear, so source 2 is the mixture's
+# separate_sources masks the mixture spectrogram down to source 1's frames,
+# keeping the mixture phase, and takes source 2 as the mixture's
 # resynthesis minus source 1.
-resynth = istft(mix_spec, hop)
-y1 = istft(separate_sources(mix_spec, models[0], models[1], scenario.anneal), hop)
-y2 = resynth - y1
+y1, y2 = separate_sources(stft(mixture, nfft, hop), *models, hop, scenario.anneal)
 
 out_dir = "separated"
 os.makedirs(out_dir, exist_ok=True)

@@ -1,7 +1,7 @@
 """Command-line entry point: train, separate, denoise, experiment, track.
 
-Exit codes: 0 on success, 2 on usage or input errors, 3 on numerical
-failures.  Every command is deterministic for a fixed ``--seed``.
+Exit codes: 0 on success, 2 on usage or input errors, 3 on numerical failures.
+Same ``--seed``, numpy/BLAS build and BLAS thread count: same output bytes.
 """
 from __future__ import annotations
 
@@ -14,8 +14,9 @@ import warnings
 import numpy as np
 
 from .core import nonneg_matrix, normalize_columns
-from .dsp import _check_hop, istft, stft
+from .dsp import _check_hop, stft
 from .experiments import (
+    _TRACK_ANNEAL,
     SeparationScenario,
     TrackingScenario,
     run_separation,
@@ -181,20 +182,15 @@ def cmd_separate(args: argparse.Namespace) -> int:
     samples = np.pad(samples, (0, (fft_size - n) % hop))
     spec = stft(samples, fft_size, hop)
     del samples  # no signal-length array stays alive across the inverse transforms
-    if args.out2 is not None:
-        mix = istft(spec, hop)[:n]  # before separate_sources masks the frames in place
-    separate_sources(spec, model_a, model_b, args.q, args.inner_iters)
-    out1 = istft(spec, hop)[:n]
+    out1, out2 = separate_sources(spec, model_a, model_b, hop, args.q, args.inner_iters,
+                                  both=args.out2 is not None)
     del spec  # freed before write_wav makes its temporaries
-    write_wav(args.out1, out1, rate)
-    if args.out2 is None:
+    write_wav(args.out1, out1[:n], rate)
+    if out2 is None:
         print(f"wrote {args.out1}")
         return 0
-    # istft is linear, so the second source is the mixture's resynthesis
-    # minus the first, and the two outputs sum to it up to rounding.
-    mix -= out1
     try:
-        write_wav(args.out2, mix, rate)
+        write_wav(args.out2, out2[:n], rate)
     except BaseException:
         os.remove(args.out1)  # leave no half of a failed separation behind
         raise
@@ -274,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mixture", required=True)
     p.add_argument("--model1", required=True)
     p.add_argument("--model2", required=True)
-    p.add_argument("--q", type=float, default=0.1, help="annealing exponent")
+    p.add_argument("--q", type=float, default=SeparationScenario.anneal, help="annealing exponent")
     p.add_argument("--hop", type=int, default=None, help="default: fft/4, at least 1")
     p.add_argument("--inner-iters", type=int, default=1)
     p.add_argument("--out1", required=True)
@@ -307,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("track", help="dominant-frequency track of an 8 kHz WAV")
     p.add_argument("input", help="8 kHz mono WAV")
-    p.add_argument("--q", type=float, default=0.25, help="annealing exponent")
+    p.add_argument("--q", type=float, default=_TRACK_ANNEAL, help="annealing exponent")
     p.add_argument("--inner-iters", type=int, default=1)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_track)

@@ -241,20 +241,22 @@ def separate_sources(
     spec: Array,
     model1: DnmfModel,
     model2: DnmfModel,
-    anneal: float = 0.1,
+    hop: int,
+    anneal: float = SeparationScenario.anneal,
     inner_iters: int = 1,
-) -> Array:
-    """Filter the complex (bins, frames) mixture STFT ``spec`` with two
-    concatenated models and mask it in place down to the first source.
+    both: bool = True,
+) -> tuple[Array, Array | None]:
+    """Separate the complex (bins, frames) mixture STFT ``spec`` into the
+    signals ``(y1, y2)`` with two concatenated models.
 
     One pass over 128-frame blocks filters each block's magnitudes (the
-    filter history carries from block to block) and multiplies the block by
-    the soft mask ``W1 h1 / max(W1 h1 + W2 h2, EPS)``, a real gain in [0, 1]
-    that keeps the mixture phase.  ``spec`` is consumed: it is returned
-    holding the first source's frames.  :func:`~dnmf.dsp.istft` is linear,
-    so the second source's signal is the inverse of the mixture frames
-    (taken before this call) minus the inverse of the first source's.
+    filter history carries from block to block) and masks the block in place
+    by ``W1 h1 / max(W1 h1 + W2 h2, EPS)``, a real gain in [0, 1] that keeps
+    the mixture phase.  ``y1`` is the :func:`~dnmf.dsp.istft` of the masked
+    frames left in ``spec``; ``y2`` is the mixture's inverse minus ``y1``
+    (mixture consistency, Wisdom et al. 2019), or ``None`` if not ``both``.
     """
+    y2 = istft(spec, hop) if both else None  # before the frames are masked
     state = FilterState(concat_models(model1, model2), anneal=anneal, inner_iters=inner_iters)
     n1 = model1.n_components
     for b in range(0, spec.shape[1], _BLOCK):
@@ -265,7 +267,12 @@ def separate_sources(
         np.maximum(mask, EPS, out=mask)
         np.divide(est1, mask, out=mask)
         spec[:, cols] *= mask
-    return spec
+        del h, est1, mask
+    del state  # the filter and the last block's arrays are freed before the inverse
+    y1 = istft(spec, hop)
+    if y2 is not None:
+        y2 -= y1
+    return y1, y2
 
 
 def run_separation(scenario: SeparationScenario, seed: int = 0) -> ExperimentReport:
@@ -276,17 +283,14 @@ def run_separation(scenario: SeparationScenario, seed: int = 0) -> ExperimentRep
     with the learned lag matrices and one refinement per frame.  Each
     source's training seed depends only on the source (not the order), so
     all orders factor the same dictionaries and differ purely in their
-    dynamics.  Reconstruction uses the mixture phase: the first source is
-    the inverse of its masked frames, the second the inverse of the mixture
-    frames minus the first.  Each source's time-domain output SNR goes into
-    the report.
+    dynamics.  :func:`separate_sources` reconstructs both sources, and each
+    source's time-domain output SNR goes into the report.
     """
     s1, s2 = gen_chirp_pair(scenario)
     mixture = mix_at_snr(s1, s2, scenario.mix_snr_db)
     s2ref = mixture - s1
     nfft, hop = scenario.fft_size, scenario.hop
     mix_spec = stft(mixture, nfft, hop)
-    resynth = istft(mix_spec, hop)
     mag1 = np.abs(stft(s1, nfft, hop))
     mag2 = np.abs(stft(s2ref, nfft, hop))
 
@@ -299,8 +303,8 @@ def run_separation(scenario: SeparationScenario, seed: int = 0) -> ExperimentRep
             models.append(model)
         method = "dnmf" if order >= 1 else "static"
         inner = _DNMF_INNER if order >= 1 else _STATIC_INNER
-        y1 = istft(separate_sources(mix_spec.copy(), *models, scenario.anneal, inner), hop)
-        for tag, y, ref in (("source1", y1, s1), ("source2", resynth - y1, s2ref)):
+        y1, y2 = separate_sources(mix_spec.copy(), *models, hop, scenario.anneal, inner)
+        for tag, y, ref in (("source1", y1, s1), ("source2", y2, s2ref)):
             # The frame grid may not cover the last few samples; score the
             # span both signals share.
             n = min(y.shape[0], ref.shape[0])

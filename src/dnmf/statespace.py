@@ -100,12 +100,12 @@ class DnmfModel:
 class TrainConfig:
     """Knobs for :func:`train`.
 
-    ``prior_start`` is the EM iteration at which the temporal machinery
-    engages: lag matrices are re-estimated from that iteration on, and
-    coefficient updates start using predictions one iteration later.
-    ``anneal`` tempers predictions elementwise (``eta ** anneal``) so early
-    dynamic iterations cannot lock the coefficients too hard.  At order 0
-    (static PLCA) ``prior_start`` has no effect but must still lie in
+    Lag matrices are re-estimated from EM iteration ``prior_start`` on, and
+    coefficient updates use predictions one iteration later.  ``anneal``
+    tempers predictions (``eta ** anneal``) so early dynamic iterations cannot
+    lock the coefficients; at 1 no iteration lowers :func:`map_objective`
+    unless a prediction sits on the ``EPS`` floor (measured, not proven).  At
+    order 0 (static PLCA) ``prior_start`` has no effect but must still lie in
     ``[0, iters]``, so short static runs pass ``prior_start=0``.
     """
 
@@ -615,8 +615,8 @@ def map_objective(x: Array, model: DnmfModel, h: Array) -> float:
     has dynamics, ``-sum_t sum_i (log(eta[i,t]) + h[i,t]/eta[i,t])`` with
     ``eta_t`` the unannealed prediction built from earlier columns of ``h``
     (all-ones padding for missing lags).  Terms depending only on the data
-    are omitted.  With annealing disabled this is the quantity each full
-    training iteration does not decrease.
+    are omitted.  Without annealing, a training iteration was seen to lower
+    it only where a prediction sits on the ``EPS`` floor (before or after).
     """
     data = nonneg_matrix(x, name="data")
     h = np.asarray(h, dtype=np.float64)

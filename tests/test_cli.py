@@ -1,9 +1,13 @@
 import contextlib
+import dataclasses
 import functools
 import io
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -16,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dnmf.cli
+import dnmf.experiments
 from dnmf.cli import load_model, main, save_model
 from dnmf.core import normalize_columns
 from dnmf.dsp import istft, mix_at_snr, stft
@@ -213,6 +218,28 @@ def test_train_command_deterministic_bytes(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_train_command_bytes_repeat_across_processes(tmp_path):
+    # The stated contract: the same numpy/BLAS build and BLAS thread count
+    # write the same model bytes, in fresh processes with different hash seeds.
+    rng = np.random.default_rng(9)
+    csv = tmp_path / "d.csv"
+    np.savetxt(csv, rng.uniform(0.0, 1.0, size=(16, 40)), delimiter=",")
+    src = str(Path(dnmf.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for hash_seed in ("1", "2"):
+        outs.append(tmp_path / f"m{hash_seed}.json")
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed,
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "dnmf.cli", "train", str(csv), "--rank", "3", "--order", "2",
+             "--iters", "6", "--m", "3", "--out", str(outs[-1])],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_train_command_bytes_independent_of_input_directory(tmp_path):
@@ -724,7 +751,7 @@ def test_denoise_inverts_only_the_speech_estimate(tmp_path, monkeypatch):
         calls.append(1)
         return istft(*args, **kwargs)
 
-    monkeypatch.setattr(dnmf.cli, "istft", counting_istft)
+    monkeypatch.setattr(dnmf.experiments, "istft", counting_istft)
     assert main(["denoise", "--input", mix_path, "--speech-model", model_a,
                  "--noise-model", model_b, "--out", den]) == 0
     assert len(calls) == 1
@@ -1002,7 +1029,15 @@ def test_separate_and_denoise_numeric_flags_fail_cleanly(command, flags):
 # example runs in milliseconds.
 _TINY_TRACKING = functools.partial(TrackingScenario, fft_size=16, hop=16, n_frames=8,
                                    peak_frame=4, snr_grid=(0.0, 10.0), runs=2)
-_TINY_SEPARATION = functools.partial(SeparationScenario, duration=0.1, rank=2, orders=(1,))
+
+
+# A subclass, not a partial: the parser reads the `separate --q` default from
+# the class.
+@dataclasses.dataclass
+class _TinySeparation(SeparationScenario):
+    duration: float = 0.1
+    rank: int = 2
+    orders: tuple = (1,)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1015,7 +1050,7 @@ def test_experiment_numeric_flags_fail_cleanly(scenario, flags):
     with tempfile.TemporaryDirectory() as tmp:
         csv = Path(tmp) / "out.csv"
         with mock.patch.object(dnmf.cli, "TrackingScenario", _TINY_TRACKING), \
-                mock.patch.object(dnmf.cli, "SeparationScenario", _TINY_SEPARATION):
+                mock.patch.object(dnmf.cli, "SeparationScenario", _TinySeparation):
             code, err = _run_flags(
                 ["experiment", "--scenario", scenario, "--csv", str(csv)], flags)
         _assert_clean_exit(code, err, [csv])

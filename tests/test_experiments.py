@@ -16,7 +16,7 @@ from dnmf.experiments import (
     tracking_model,
 )
 from dnmf.core import normalize_columns
-from dnmf.dsp import mix_at_snr, stft, wiener_reconstruct
+from dnmf.dsp import istft, mix_at_snr, stft, wiener_reconstruct
 from dnmf.statespace import (
     DnmfModel,
     FilterState,
@@ -100,12 +100,18 @@ def test_separate_sources_outputs_partition_mixture():
     cfg = TrainConfig(iters=20, prior_start=10, seed=0)
     m1, _ = train(np.abs(stft(s1, sc.fft_size, sc.hop)), 6, 1, cfg)
     m2, _ = train(np.abs(stft(s2, sc.fft_size, sc.hop)), 6, 1, cfg)
-    work = spec.copy()
-    e1 = separate_sources(work, m1, m2)
-    assert e1 is work and e1.shape == spec.shape
+    e1 = spec.copy()
+    y1, y2 = separate_sources(e1, m1, m2, sc.hop)
+    assert e1.shape == spec.shape
     # A real gain in [0, 1] keeps the mixture phase, so the magnitudes of the
     # first source and of the remainder partition the mixture's.
     np.testing.assert_allclose(np.abs(e1) + np.abs(spec - e1), np.abs(spec), rtol=0.0, atol=1e-12)
+    # Source 1 is the inverse of the masked frames left in the consumed
+    # spectrogram, and the two signals sum to the mixture's resynthesis.
+    assert np.array_equal(y1, istft(e1, sc.hop))
+    np.testing.assert_allclose(y1 + y2, istft(spec, sc.hop), rtol=0.0, atol=1e-12)
+    only1, none = separate_sources(spec.copy(), m1, m2, sc.hop, both=False)
+    assert none is None and np.array_equal(only1, y1)
 
 
 def _separate_per_frame(mag, model1, model2, anneal=0.1, inner_iters=1):
@@ -132,10 +138,10 @@ def test_separate_sources_matches_per_frame_reference(order, inner_iters):
     m1, _ = train(np.abs(stft(s1, sc.fft_size, sc.hop)), 5, order, cfg)
     m2, _ = train(np.abs(stft(s2, sc.fft_size, sc.hop)), 5, order, cfg)
     phase = _unit_phase(spec)
-    got = separate_sources(spec, m1, m2, 0.2, inner_iters)
+    separate_sources(spec, m1, m2, sc.hop, 0.2, inner_iters)  # masks spec in place
     part1, _ = _separate_per_frame(mag, m1, m2, 0.2, inner_iters)
     # One matrix product per block rounds differently from per-column ones.
-    np.testing.assert_allclose(got, part1 * phase, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(spec, part1 * phase, rtol=0.0, atol=1e-12)
 
 
 def _random_model(rng, k, i, order):
@@ -155,10 +161,19 @@ def test_separate_sources_blocks_match_whole_array_split(n_frames, order, inner_
     m1, m2 = _random_model(rng, 17, 4, order), _random_model(rng, 17, 3, order)
     mag = np.abs(spec)
     part1, _ = _separate_per_frame(mag, m1, m2, 0.2, inner_iters)
-    first = separate_sources(spec.copy(), m1, m2, 0.2, inner_iters)
+    first = spec.copy()
+    separate_sources(first, m1, m2, 8, 0.2, inner_iters)
     assert first.shape == spec.shape and first.dtype == np.complex128
     np.testing.assert_allclose(first, part1 * _unit_phase(spec), rtol=0.0, atol=1e-12 * mag.max())
     assert first[3, 0] == 0.0
+
+
+@pytest.mark.parametrize("both", [True, False])
+def test_separate_sources_rejects_an_empty_spectrogram(both):
+    rng = np.random.default_rng(4)
+    m1, m2 = _random_model(rng, 17, 4, 1), _random_model(rng, 17, 3, 1)
+    with pytest.raises(ValueError, match="at least one frame"):
+        separate_sources(np.zeros((17, 0), dtype=complex), m1, m2, 8, both=both)
 
 
 def test_run_tracking_report_layout():

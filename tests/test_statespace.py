@@ -10,6 +10,7 @@ from dnmf.core import EPS, is_divergence, normalize_columns
 from dnmf.experiments import TrackingScenario, run_tracking
 from dnmf.statespace import (
     _em_step,
+    _predict_all,
     _simplex_update,
     _stack_lags,
     DnmfModel,
@@ -492,6 +493,52 @@ def test_train_improves_map_objective():
     short, h_short = train(x, 3, 1, TrainConfig(iters=2, prior_start=0, anneal=1.0, seed=3))
     full, h_full = train(x, 3, 1, TrainConfig(iters=40, prior_start=0, anneal=1.0, seed=3))
     assert map_objective(x, full, h_full) >= map_objective(x, short, h_short)
+
+
+def _sparse_problem(seed):
+    """A small sparse training problem: (data, rank, order)."""
+    rng = np.random.default_rng(seed)
+    k, rank, t, order = (int(rng.integers(*b)) for b in ((3, 25), (2, 8), (5, 60), (1, 4)))
+    scale = 10 ** rng.uniform(-2, 3)
+    x = scale * rng.gamma(1, 1, (k, t)) * (rng.uniform(size=(k, t)) < 0.3)
+    return x, rank, order
+
+
+def _objective_and_floor(x, rank, order, iters, seed):
+    """``map_objective`` after ``iters`` unannealed iterations, and how many
+    unannealed predictions sit on the ``EPS`` floor."""
+    cfg = TrainConfig(iters=iters, prior_start=0, anneal=1.0, seed=seed)
+    model, h = train(x, rank, order, cfg)
+    return map_objective(x, model, h), int((_predict_all(model.lags, h) <= EPS).sum())
+
+
+def test_train_is_monotone_off_the_prediction_floor():
+    # Without annealing each iteration does not lower the MAP objective, as
+    # long as no prediction sits on the EPS floor before or after it.
+    checked = skipped = 0
+    for seed in range(18):
+        x, rank, order = _sparse_problem(seed)
+        runs = [_objective_and_floor(x, rank, order, n, seed) for n in range(1, 9)]
+        for (before, floor0), (after, floor1) in zip(runs, runs[1:]):
+            if floor0 or floor1:
+                skipped += 1
+                continue
+            checked += 1
+            assert after >= before - 1e-7 * max(1.0, abs(before)), (seed, before, after)
+    assert checked > 0 and skipped > 0
+
+
+def test_train_can_lower_the_objective_once_a_prediction_hits_the_floor():
+    # A documented counterexample to monotonicity without that precondition:
+    # from 8 to 9 iterations the predictions on the floor go from 6 to 14,
+    # and the objective falls by half.
+    x, rank, order = _sparse_problem(14)
+    assert (x.shape, rank, order) == ((6, 40), 6, 2)
+    before, floor0 = _objective_and_floor(x, rank, order, 8, 14)
+    after, floor1 = _objective_and_floor(x, rank, order, 9, 14)
+    assert (floor0, floor1) == (6, 14)
+    assert before == pytest.approx(-961.05, abs=0.01)
+    assert after == pytest.approx(-1439.34, abs=0.01)
 
 
 def _train_per_frame(x, rank, order, cfg):
