@@ -18,9 +18,12 @@ same bytes) and ``<workload>_summary`` (per metric and side: median, quartiles,
 min and max, plus the number of pairs the change won, ties counting for
 neither, the metric's ``bound`` and ``worse_beyond_bound``: whether the
 change's median is worse than the parent's by more than ``bound`` times the
-parent's median; under ``outputs_identical``, how many pairs wrote identical
-outputs).  ``machine`` and ``commands`` are filled in too.  "Better" and the
-bound of each metric come from the change checkout's ``BENCHMARK.json``.
+parent's median, and ``gain_resolved``: whether the change won at least 9 in
+10 of the pairs and its median is better than the parent's by more than the
+parent's ``q3 - q1``; under ``outputs_identical``, how many pairs wrote
+identical outputs).  ``machine`` and ``commands`` are filled in too.
+"Better" and the bound of each metric come from the change checkout's
+``BENCHMARK.json``.
 
 The script exits 1, after writing the file, when any run reported
 ``"correct": false``.
@@ -90,6 +93,9 @@ def summarise(pairs: list[dict], spec: dict[str, dict]) -> dict:
         parent, change = row["parent"]["median"], row["change"]["median"]
         row["bound"] = entry["bound"]
         row["worse_beyond_bound"] = sign * (parent - change) > entry["bound"] * abs(parent)
+        spread = row["parent"]["q3"] - row["parent"]["q1"]
+        row["gain_resolved"] = (10 * row["change_wins"] >= 9 * len(pairs)
+                                and sign * (change - parent) > spread)
         summary[metric] = row
     summary["outputs_identical"] = {"pairs": len(pairs),
                                     "identical": sum(p["outputs_identical"] for p in pairs)}

@@ -41,7 +41,6 @@ __all__ = [
     "build_lag_matrix",
     "estimate_nvar",
     "train",
-    "filter_frame",
     "filter_stream",
     "map_objective",
     "lag_fit_divergence",
@@ -187,9 +186,10 @@ def solve_beta(c: Array, eta: Array) -> float:
     root is returned in closed form, ``sum(c) - 1/eta[0]``, before any
     iteration.  Otherwise the root lies in the closed-form bracket
     ``[pole + c_m, pole + sum(c)]``, with ``c_m`` the count at the smallest
-    ``1/eta``.  Newton's method runs on the equivalent ``1/g(beta) = 1``,
-    which is exactly linear in ``beta`` under a uniform prior and nearly so
-    when one term dominates, so it needs fewer steps than Newton on ``g``
+    ``1/eta``; no iterate sits on the pole, even where ``pole + c_m`` rounds
+    to it.  Newton's method runs on the equivalent ``1/g(beta) = 1``, which is
+    exactly linear in ``beta`` under a uniform prior and nearly so when one
+    term dominates, so it needs fewer steps than Newton on ``g``
     (Bunch, Nielsen & Sorensen, Numer. Math. 1978).  It starts at
     ``sum(c) - 1``, clamped to the bracket, and falls back to bisection
     whenever a step would leave the shrinking bracket.  It stops once
@@ -245,9 +245,13 @@ def solve_beta(c: Array, eta: Array) -> float:
     # hi - pole = sum(c), so g(hi) <= 1.
     lo = pole + float(cs[k])
     hi = pole + total
+    # Where c_m is below half an ulp of the pole, lo rounds onto it, and so
+    # may a start clamped to lo or a final midpoint; a denominator is zero
+    # there, so both are held to the first float right of the pole.
+    right = math.nextafter(pole, math.inf)
 
     # Every iterate stays inside [lo, hi], so it replaces one end outright.
-    beta = min(max(total - 1.0, lo), hi)
+    beta = max(min(max(total - 1.0, lo), hi), right)
     for _ in range(_BETA_MAX_ITER):
         d = inv + beta
         q = cs / d
@@ -263,7 +267,7 @@ def solve_beta(c: Array, eta: Array) -> float:
             # the tolerance across one float64 ulp of beta, so the residual
             # test can never pass; the bracket itself is then the sharper
             # certificate.
-            return 0.5 * (lo + hi)
+            return max(0.5 * (lo + hi), right)
         # Newton on 1/g = 1 is the step on g, (g - 1) / -g', times g.
         cand = beta + val * (val - 1.0) / float(_sum(q / d, 0))
         if not lo < cand < hi:
@@ -509,40 +513,11 @@ def filter_frame(state: FilterState, x: Array) -> Array:
     early ones stay close to the prediction; with the default single
     refinement the prior mean is exactly ``b ** anneal``.
 
-    Parameters
-    ----------
-    state : FilterState
-        Model plus history; mutated by shifting the new estimate into the
-        last row of ``state.history``.
-    x : np.ndarray
-        Nonnegative observation, length ``model.n_features``.
-
-    Returns
-    -------
-    np.ndarray
-        Coefficients on the simplex, length ``model.n_components``.
-
-    Raises
-    ------
-    ValueError
-        For a frame of the wrong length or with a negative, NaN or
-        infinite entry.  Float64 overflow in the prediction or the
-        refinement follows the caller's ``np.errstate``: numpy's default
-        prints ``RuntimeWarning``s, after which the normalizer raises
-        ``ValueError("counts and prior means must be finite")``;
-        ``over="raise"`` raises ``FloatingPointError`` at the first overflow.
-        This function sets no ``np.errstate`` of its own, which would cost
-        more per frame than :func:`filter_stream`'s once per call.  Either
-        way ``state`` is left unchanged.
+    Precondition, checked by :func:`filter_stream` and not here: ``x`` is a
+    1-D float64 frame of ``model.n_features`` finite, nonnegative entries.
+    The estimate, on the simplex, is returned and shifted into the history.
     """
     model = state.model
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.n_features:
-        raise ValueError(f"frame must have length {model.n_features}")
-    # NaN fails both comparisons (argmin and argmax pick the first NaN),
-    # -inf the first and +inf the second.
-    if not (x[x.argmin()] >= 0.0 and x[x.argmax()] < math.inf):
-        raise ValueError("frame must be nonnegative and finite")
     xf = np.maximum(x, EPS)
     xf /= _sum(xf, 0)
 
@@ -588,19 +563,21 @@ def filter_stream(state: FilterState, frames: Array) -> Array:
     Raises
     ------
     ValueError
-        For ``frames`` that are not 2-D with ``model.n_features`` rows, and
-        wherever :func:`filter_frame` raises.
+        For ``frames`` that are not 2-D with ``model.n_features`` rows or
+        that hold a negative, NaN or infinite entry, before any frame is
+        filtered: ``state`` is left unchanged.
     FloatingPointError
         At the first float64 overflow, invalid operation or division by
         zero: the frames run under ``np.errstate(over="raise",
-        invalid="raise", divide="raise")``.
-
-    Either way the frames before the failing one stay in ``state``'s
-    history, and the failing frame leaves ``state`` unchanged.
+        invalid="raise", divide="raise")``.  The frames before the failing
+        one stay in ``state``'s history; the failing frame leaves none.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] != state.model.n_features:
         raise ValueError(f"frames must be 2-D with {state.model.n_features} rows")
+    # NaN fails both comparisons, -inf the first and +inf the second.
+    if frames.size and not (frames.min() >= 0.0 and frames.max() < math.inf):
+        raise ValueError("frames must be nonnegative and finite")
     h = np.empty((state.model.n_components, frames.shape[1]))
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         for t in range(frames.shape[1]):

@@ -26,7 +26,7 @@ from dnmf.statespace import (
     TrainConfig,
     build_lag_matrix,
     estimate_nvar,
-    filter_frame,
+    filter_stream,
     map_objective,
     solve_beta,
     train,
@@ -324,7 +324,8 @@ def test_persistence_round_trip(tmp_path):
     s_load = FilterState(loaded, anneal=0.2)
     streams_equal = all(
         np.array_equal(
-            filter_frame(s_mem, frames[:, t]), filter_frame(s_load, frames[:, t])
+            filter_stream(s_mem, frames[:, t : t + 1]),
+            filter_stream(s_load, frames[:, t : t + 1]),
         )
         for t in range(12)
     )

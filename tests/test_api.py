@@ -46,7 +46,6 @@ MODULE_ONLY = {
     "solve_beta": "dnmf.statespace",
     "build_lag_matrix": "dnmf.statespace",
     "estimate_nvar": "dnmf.statespace",
-    "filter_frame": "dnmf.statespace",
     "wiener_reconstruct": "dnmf.dsp",
 }
 
@@ -104,10 +103,20 @@ def test_demos_and_readme_import_only_the_root_api():
 
 
 def test_readme_quick_start_runs_as_written():
-    quick_start = _readme_python_blocks()[0]
-    scope: dict = {}
-    exec(compile(quick_start, "README.md", "exec"), scope)
-    assert scope["h_f"].shape == (8, 200)
+    # Every block runs on its own, in a fresh scope.
+    scopes = []
+    for block in _readme_python_blocks():
+        scope: dict = {}
+        exec(compile(block, "README.md", "exec"), scope)
+        scopes.append(scope)
+    fit, separation, static = scopes
+    assert fit["h_f"].shape == (8, 200)
+    y1, y2 = separation["y1"], separation["y2"]
+    n = len(y1)
+    assert y2.shape == (n,) and n <= len(separation["mixture"])
+    assert dnmf.output_snr(separation["tone"][:n], y1) > 10.0
+    assert dnmf.output_snr(separation["hum"][:n], y2) > 10.0
+    assert static["h"].shape == (4, 200)
 
 
 def test_bench_layer_functions_resolve_in_src(monkeypatch):

@@ -1,5 +1,5 @@
-"""``scripts/bench_pairs.py``: output identity per pair, the bound check and
-the exit code."""
+"""``scripts/bench_pairs.py``: output identity per pair, the bound check, the
+resolved-gain check and the exit code."""
 import importlib.util
 import json
 import sys
@@ -93,3 +93,25 @@ def test_main_writes_bound_and_flag(bench_pairs, monkeypatch, tmp_path):
     assert code == 0
     row = doc["track_mc_summary"]["wall_s"]
     assert row["bound"] == 0.25 and row["worse_beyond_bound"] is False
+    # 4 of 4 pairs won by 0.5 s against a parent spread of 0.
+    assert row["gain_resolved"] is True
+
+
+# Parent medians 1.45 with q1 1.225 and q3 1.675: a spread of 0.45.
+_PARENT = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
+
+
+@pytest.mark.parametrize("better, shifts, resolved", [
+    ("lower", [-0.5] * 10, True),                # 10/10 wins, medians 0.5 apart
+    ("higher", [0.5] * 10, True),
+    ("lower", [-0.6] * 9 + [0.1], True),         # 9/10 wins is enough
+    ("lower", [-0.6] * 8 + [0.1, 0.1], False),   # 8/10 wins, medians 0.6 apart
+    ("lower", [-0.6] * 8 + [0.0, 0.1], False),   # a tie counts for neither side
+    ("lower", [-0.4] * 10, False),               # 10/10 wins inside the spread
+    ("higher", [-0.5] * 10, False),              # 10/10 losses
+])
+def test_summary_resolves_a_gain_on_wins_and_spread(bench_pairs, better, shifts, resolved):
+    spec = {"wall_s": {"name": "wall_s", "better": better, "bound": 0.25}}
+    change = [p + d for p, d in zip(_PARENT, shifts)]
+    row = bench_pairs.summarise(_pairs("track_mc.wall_s", _PARENT, change), spec)["track_mc.wall_s"]
+    assert row["gain_resolved"] is resolved

@@ -25,8 +25,9 @@ from dnmf.cli import load_model, main, save_model
 from dnmf.core import normalize_columns
 from dnmf.dsp import istft, mix_at_snr, stft
 from dnmf.experiments import SeparationScenario, TrackingScenario, gen_chirp_pair
-from dnmf.statespace import FilterState, TrainConfig, filter_frame, train
+from dnmf.statespace import FilterState, TrainConfig, filter_stream, train
 from dnmf.wav import read_wav, write_wav
+from test_statespace import _sparse_problem
 
 
 def _small_model(rng, k=9, i=3, order=1):
@@ -60,7 +61,8 @@ def test_loaded_model_filters_identically(tmp_path):
     s2 = FilterState(loaded, anneal=0.1)
     for t in range(8):
         np.testing.assert_array_equal(
-            filter_frame(s1, frames[:, t]), filter_frame(s2, frames[:, t])
+            filter_stream(s1, frames[:, t : t + 1]),
+            filter_stream(s2, frames[:, t : t + 1]),
         )
 
 
@@ -698,6 +700,21 @@ def test_train_overflow_is_one_numerical_failure_line(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numerical failure:")
     assert not out.exists()
+
+
+def test_train_command_on_a_count_below_an_ulp_of_the_pole(tmp_path, capsys):
+    # Valid sparse data whose training reaches a normalizer count that
+    # rounds away next to its pole: it trains like the API, exit 0.
+    x, rank, order = _sparse_problem(117)
+    csv = tmp_path / "sparse.csv"
+    np.savetxt(csv, x, delimiter=",")
+    out = tmp_path / "m.json"
+    assert main(["train", str(csv), "--rank", str(rank), "--order", str(order),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    loaded, _, _ = load_model(str(out))
+    want, _ = train(x, rank, order, TrainConfig())
+    np.testing.assert_array_equal(loaded.basis, want.basis)
 
 
 @pytest.mark.parametrize(

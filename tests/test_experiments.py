@@ -22,7 +22,7 @@ from dnmf.statespace import (
     FilterState,
     TrainConfig,
     concat_models,
-    filter_frame,
+    filter_stream,
     train,
 )
 
@@ -121,7 +121,7 @@ def _separate_per_frame(mag, model1, model2, anneal=0.1, inner_iters=1):
     est1 = np.empty_like(mag)
     est2 = np.empty_like(mag)
     for t in range(mag.shape[1]):
-        h = filter_frame(state, mag[:, t])
+        h = filter_stream(state, mag[:, t : t + 1])[:, 0]
         e1 = model1.basis @ h[:n1]
         e2 = model2.basis @ h[n1:]
         est1[:, t], est2[:, t] = wiener_reconstruct(mag[:, t], e1, e2)

@@ -19,7 +19,6 @@ from dnmf.statespace import (
     build_lag_matrix,
     concat_models,
     estimate_nvar,
-    filter_frame,
     filter_stream,
     lag_fit_divergence,
     map_objective,
@@ -270,6 +269,19 @@ def test_solve_beta_pole_ties_match_newton_reference():
         c *= rng.choice([1e-3, 1.0, 1e3])
         assert 1.0 / eta[slots[0]] == 1.0 / eta[slots[1]] == (1.0 / eta).min()
         _assert_matches_newton_reference(c, eta)
+
+
+def test_solve_beta_count_below_an_ulp_of_the_pole_stays_off_the_pole():
+    # pole + c_m rounds to the pole itself, where a denominator is zero.
+    c, eta = np.array([1e-30, 0.5]), np.array([1e10, 1.0])
+    with np.errstate(all="raise"):
+        beta = solve_beta(c, eta)
+        h = _simplex_update(c, eta)
+    pole = -(1.0 / 1e10)
+    # The root lies within one ulp of the pole: the first float right of it.
+    assert beta == np.nextafter(pole, np.inf)
+    assert np.all(1.0 / eta + beta > 0.0)
+    assert np.all(h >= 0.0) and abs(h.sum() - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +540,18 @@ def test_train_is_monotone_off_the_prediction_floor():
     assert checked > 0 and skipped > 0
 
 
+@pytest.mark.parametrize("seed, config", [
+    (117, TrainConfig()),
+    (108, TrainConfig(iters=2, prior_start=0, anneal=1.0)),
+])
+def test_train_survives_a_count_below_an_ulp_of_the_pole(seed, config):
+    # Both reach a solve_beta whose count at the pole rounds away next to it.
+    x, rank, order = _sparse_problem(seed)
+    model, h = train(x, rank, order, config)
+    assert np.all(np.isfinite(h)) and np.all(h >= 0.0)
+    np.testing.assert_allclose(h.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+
+
 def test_train_can_lower_the_objective_once_a_prediction_hits_the_floor():
     # A documented counterexample to monotonicity without that precondition:
     # from 8 to 9 iterations the predictions on the floor go from 6 to 14,
@@ -675,11 +699,16 @@ def test_train_overflow_raises_floating_point_error():
 # filtering
 
 
+def _filter_one(state, x):
+    """Filter the single frame ``x`` as a one-column stream."""
+    return filter_stream(state, x[:, None])[:, 0]
+
+
 def test_filter_frame_returns_simplex_vector():
     rng = np.random.default_rng(71)
     model = _random_model(rng, k=6, i=3, order=1)
     state = FilterState(model, anneal=0.2, inner_iters=2)
-    h = filter_frame(state, rng.uniform(0.0, 1.0, size=6))
+    h = _filter_one(state, rng.uniform(0.0, 1.0, size=6))
     assert h.shape == (3,)
     assert h.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(h >= 0.0)
@@ -693,7 +722,7 @@ def test_filter_frame_deterministic_stream():
     s2 = FilterState(model, anneal=0.1)
     for t in range(9):
         np.testing.assert_array_equal(
-            filter_frame(s1, frames[:, t]), filter_frame(s2, frames[:, t])
+            _filter_one(s1, frames[:, t]), _filter_one(s2, frames[:, t])
         )
 
 
@@ -703,9 +732,9 @@ def test_filter_frame_is_causal():
     model = _random_model(rng, k=5, i=2, order=2)
     frames = rng.uniform(0.0, 1.0, size=(5, 12))
     full_state = FilterState(model)
-    full = [filter_frame(full_state, frames[:, t]) for t in range(12)]
+    full = [_filter_one(full_state, frames[:, t]) for t in range(12)]
     prefix_state = FilterState(model)
-    prefix = [filter_frame(prefix_state, frames[:, t]) for t in range(7)]
+    prefix = [_filter_one(prefix_state, frames[:, t]) for t in range(7)]
     for t in range(7):
         np.testing.assert_array_equal(full[t], prefix[t])
 
@@ -715,7 +744,7 @@ def test_filter_frame_static_model_matches_single_update():
     model = _random_model(rng, k=6, i=3, order=0)
     state = FilterState(model, anneal=0.4, inner_iters=1)
     x = rng.uniform(0.5, 1.5, size=6)
-    got = filter_frame(state, x)
+    got = _filter_one(state, x)
     xn = np.maximum(x, EPS)
     xn = xn / xn.sum()
     want = _em_step(xn, model.basis, np.ones(3), np.full(3, 1.0 / 3.0))
@@ -730,8 +759,8 @@ def test_filter_frame_scale_invariant():
     s1 = FilterState(model)
     s2 = FilterState(model)
     for t in range(5):
-        a = filter_frame(s1, frames[:, t])
-        b = filter_frame(s2, 250.0 * frames[:, t])
+        a = _filter_one(s1, frames[:, t])
+        b = _filter_one(s2, 250.0 * frames[:, t])
         np.testing.assert_allclose(a, b, atol=1e-13)
 
 
@@ -742,7 +771,7 @@ def test_filter_frame_history_ring_buffer():
     assert np.array_equal(state.history, np.ones((3, 2)))
     outs = []
     for t in range(1, 7):
-        outs.append(filter_frame(state, rng.uniform(0.1, 1.0, size=5)))
+        outs.append(_filter_one(state, rng.uniform(0.1, 1.0, size=5)))
         n = min(t, 3)
         # Oldest first: the last n rows are the latest outputs, older rows ones.
         assert np.array_equal(state.history[3 - n :], outs[-n:])
@@ -750,19 +779,21 @@ def test_filter_frame_history_ring_buffer():
 
 
 def test_filter_frame_validation():
+    # filter_stream checks all of a call's frames before it filters any, so
+    # a bad last frame keeps the good ones before it out of the history too.
     rng = np.random.default_rng(77)
     model = _random_model(rng, k=5, i=2, order=1)
     state = FilterState(model)
     with pytest.raises(ValueError):
-        filter_frame(state, np.ones(4))
+        filter_stream(state, np.ones((4, 1)))
     with pytest.raises(ValueError):
-        filter_frame(state, -np.ones(5))
-    for bad in (np.nan, np.inf, -np.inf):
-        frame = np.ones(5)
-        frame[2] = bad
+        filter_stream(state, -np.ones((5, 1)))
+    for bad in (-1.0, np.nan, np.inf, -np.inf):
+        frames = np.ones((5, 3))
+        frames[2, 2] = bad
         with pytest.raises(ValueError, match="nonnegative and finite"):
-            filter_frame(state, frame)
-    assert np.array_equal(state.history, np.ones((1, 2)))
+            filter_stream(state, frames)
+        assert np.array_equal(state.history, np.ones((1, 2)))
     with pytest.raises(ValueError):
         FilterState(model, anneal=0.0)
     with pytest.raises(ValueError):
@@ -770,8 +801,8 @@ def test_filter_frame_validation():
 
 
 def _filter_loop(state, frames):
-    """Per-frame reference for filter_stream."""
-    return np.stack([filter_frame(state, frames[:, t]) for t in range(frames.shape[1])], axis=1)
+    """Per-frame reference for filter_stream: one call per one-column stream."""
+    return np.stack([_filter_one(state, frames[:, t]) for t in range(frames.shape[1])], axis=1)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
@@ -863,22 +894,6 @@ def test_filter_stream_overflow_raises_and_keeps_state():
             filter_stream(state, frames[:, 2:])
     assert caught == []
     assert np.array_equal(state.history, before)
-
-
-def test_filter_frame_overflow_keeps_numpy_error_handling():
-    # A direct filter_frame call runs under the caller's np.errstate: numpy's
-    # default warns, and the non-finite counts then fail the normalizer.
-    rng = np.random.default_rng(84)
-    model = _random_model(rng, k=5, i=3, order=1)
-    model.lags[0][:] = 1e308
-    state = FilterState(model)
-    with warnings.catch_warnings(), np.errstate(all="warn"):
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(ValueError, match="must be finite"):
-            filter_frame(state, rng.uniform(0.1, 1.0, size=5))
-    assert np.array_equal(state.history, np.ones((1, 3)))
-    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        filter_frame(state, rng.uniform(0.1, 1.0, size=5))
 
 
 # ---------------------------------------------------------------------------
