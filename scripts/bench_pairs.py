@@ -21,7 +21,12 @@ change's median is worse than the parent's by more than ``bound`` times the
 parent's median, and ``gain_resolved``: whether the change won at least 9 in
 10 of the pairs and its median is better than the parent's by more than the
 parent's ``q3 - q1``; under ``outputs_identical``, how many pairs wrote
-identical outputs).  ``machine`` and ``commands`` are filled in too.
+identical outputs).  Each run's result also gets one
+``<workload>.wall_s_call_min`` metric per workload: its fastest call, read
+from the ``wall_samples_s`` of its ``detail`` line and summarised like the
+others with the bound of ``wall_s``.  Per-call minima can agree across runs
+where ``wall_s`` medians spread too widely to resolve a change.  ``machine``
+and ``commands`` are filled in too.
 "Better" and the bound of each metric come from the change checkout's
 ``BENCHMARK.json``.
 
@@ -76,7 +81,8 @@ def cpu_model() -> str:
 
 def summarise(pairs: list[dict], spec: dict[str, dict]) -> dict:
     """Per-metric summary rows; ``spec`` maps a metric name to its
-    ``BENCHMARK.json`` entry (``better`` and ``bound``)."""
+    ``BENCHMARK.json`` entry (``better`` and ``bound``), which
+    ``<workload>.wall_s_call_min`` takes from ``wall_s``."""
     summary = {}
     for metric in pairs[0]["parent"]["metrics"]:
         values = {side: [p[side]["metrics"][metric]["value"] for p in pairs] for side in SIDES}
@@ -85,7 +91,7 @@ def summarise(pairs: list[dict], spec: dict[str, dict]) -> dict:
             q1, med, q3 = np.percentile(values[side], [25, 50, 75])
             row[side] = {"median": float(med), "q1": float(q1), "q3": float(q3),
                          "min": float(min(values[side])), "max": float(max(values[side]))}
-        entry = spec[metric.rsplit(".", 1)[-1]]
+        entry = spec[metric.rsplit(".", 1)[-1].removesuffix("_call_min")]
         sign = -1.0 if entry["better"] == "lower" else 1.0
         row["change_wins"] = sum(sign * (c - p) > 0.0
                                  for p, c in zip(values["parent"], values["change"]))
@@ -122,6 +128,9 @@ def main() -> int:
         pair = {"seed": seed, "first": order[0], "output_sha256": {}}
         for side in order:
             result, details = run_bench(checkouts[side], args.workload, seed, args.seconds)
+            for d in details:
+                result["metrics"][f"{d['workload']}.wall_s_call_min"] = {
+                    "value": min(d["wall_samples_s"]), "unit": "s"}
             if not result["correct"]:
                 failed += 1
                 print(f"warning: {side} seed {seed} reported problems", file=sys.stderr)

@@ -279,51 +279,34 @@ def solve_beta(c: Array, eta: Array) -> float:
     )
 
 
-def _simplex_update(
-    c: Array, eta: Array, out: Array | None = None, inv: float | None = None
-) -> Array:
+def _simplex_update(c: Array, eta: Array, out: Array | None = None) -> Array:
     """Maximize ``sum_i c[i]*log(h[i]) - h[i]/eta[i]`` over the simplex.
 
     The result is written into ``out`` when given; ``out`` must not be
-    ``c``.  A caller whose ``eta`` is uniform may pass its reciprocal as the
-    float ``inv``: dividing by one scalar gives the same bits as dividing by
-    a vector of equal entries, for one numpy call instead of three.
+    ``c``.
     """
     beta = solve_beta(c, eta)
-    if inv is None:
-        out = np.divide(1.0, eta, out=out)
-        out += beta
-        # Only a zero count can have 1/eta + beta <= 0 (it may sit exactly on
-        # the root); raising that to the smallest positive float leaves every
-        # positive denominator as it is and makes the entry 0, not 0/0.
-        np.maximum(out, 5e-324, out=out)
-        np.divide(c, out, out=out)
-    else:
-        out = np.divide(c, inv + beta, out=out)
+    out = np.divide(1.0, eta, out=out)
+    out += beta
+    # The pole entry, the support entry with the largest eta, has the
+    # smallest positive denominator.  Within solve_beta's bracket resolution
+    # of the pole that denominator is mostly rounding error, but the other
+    # terms are accurate and all sum to 1 at the root, so the pole term is
+    # deflated to 1 minus the others (Bunch, Nielsen & Sorensen, 1978).
+    k = out.argmin()
+    if c[k] == 0.0:
+        k = np.where(c > 0.0, eta, 0.0).argmax()
+    deflate = out[k] <= _BETA_RESOLUTION * max(1.0, abs(beta))
+    # Only a zero count can have 1/eta + beta <= 0 (it may sit exactly on
+    # the root); raising that to the smallest positive float leaves every
+    # positive denominator as it is and makes the entry 0, not 0/0.
+    np.maximum(out, 5e-324, out=out)
+    np.divide(c, out, out=out)
+    if deflate:
+        out[k] = 0.0
+        out[k] = max(1.0 - _sum(out, 0), 0.0)
     out /= _sum(out, 0)
     return out
-
-
-def _em_step(xf: Array, w: Array, eta: Array, h: Array, inv: float | None = None) -> Array:
-    """One constrained EM refinement of a single frame's coefficients.
-
-    ``xf`` is the raw (floored) frame; responsibilities come from the current
-    coefficient estimate ``h`` (they enter only through their weighted column
-    sums, so the full per-bin posterior is never materialized); ``eta`` is
-    the prior mean for this frame and ``inv`` optionally its reciprocal, as
-    :func:`_simplex_update` takes it.  The counts keep the frame's natural
-    scale, so the normalizing multiplier grows with the frame energy and the
-    ``1/eta`` prior term acts as a proportionally gentle correction.
-    """
-    hs = np.maximum(h, EPS)
-    # ndarray.dot is the same BLAS gemv as ``@``, with less dispatch; the
-    # second product is ``w.T @ ratio``.
-    ratio = w.dot(hs)
-    np.maximum(ratio, EPS, out=ratio)
-    np.divide(xf, ratio, out=ratio)
-    c = ratio.dot(w)
-    c *= hs
-    return _simplex_update(c, eta, out=hs, inv=inv)
 
 
 def build_lag_matrix(h: Array, order: int) -> Array:
@@ -511,7 +494,10 @@ def filter_frame(state: FilterState, x: Array) -> Array:
     ``b ** (anneal / r)`` is the prior mean at inner iteration ``r``.  Later
     iterations therefore approach the static (uniform-prior) update while
     early ones stay close to the prediction; with the default single
-    refinement the prior mean is exactly ``b ** anneal``.
+    refinement the prior mean is exactly ``b ** anneal``.  One loop runs the
+    ``inner_iters`` refinements: an E-step, whose responsibilities enter only
+    through their weighted column sums, then the simplex update, which
+    without dynamics (prior mean ones) is ``solve_beta``'s closed form.
 
     Precondition, checked by :func:`filter_stream` and not here: ``x`` is a
     1-D float64 frame of ``model.n_features`` finite, nonnegative entries.
@@ -527,17 +513,28 @@ def filter_frame(state: FilterState, x: Array) -> Array:
         base = np.maximum(pred, EPS)
         h = np.maximum(pred, _INIT_FLOOR, out=pred)
         h /= _sum(h, 0)
-        for r in range(1, state.inner_iters + 1):
-            h = _em_step(xf, w, base ** (anneal / r), h)
-        state.history[:-1] = state.history[1:]
-        state.history[-1] = h
     else:
-        # The prior mean stays at ones (1 ** x == 1 exactly), whose
-        # reciprocal is the scalar 1.0.
         ones = np.ones(model.n_components)
         h = np.full(model.n_components, 1.0 / model.n_components)
-        for _ in range(state.inner_iters):
-            h = _em_step(xf, w, ones, h, inv=1.0)
+    for r in range(1, state.inner_iters + 1):
+        hs = np.maximum(h, EPS)
+        # ndarray.dot is the same BLAS gemv as ``@``, with less dispatch; the
+        # second product is ``w.T @ ratio``.
+        ratio = w.dot(hs)
+        np.maximum(ratio, EPS, out=ratio)
+        np.divide(xf, ratio, out=ratio)
+        c = ratio.dot(w)
+        c *= hs
+        if order >= 1:
+            h = _simplex_update(c, base ** (anneal / r), out=hs)
+        else:
+            # Every 1/eta + beta is the scalar 1 + beta: dividing by it gives
+            # the same bits as dividing by a vector of equal entries.
+            h = np.divide(c, 1.0 + solve_beta(c, ones), out=hs)
+            h /= _sum(h, 0)
+    if order >= 1:
+        state.history[:-1] = state.history[1:]
+        state.history[-1] = h
     return h
 
 

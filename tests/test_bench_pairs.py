@@ -1,5 +1,5 @@
 """``scripts/bench_pairs.py``: output identity per pair, the bound check, the
-resolved-gain check and the exit code."""
+resolved-gain check, the per-call minima and the exit code."""
 import importlib.util
 import json
 import sys
@@ -20,11 +20,13 @@ def bench_pairs(monkeypatch):
 
 
 def _fake_run(outputs, correct):
-    """A ``run_bench`` stand-in: fixed metrics, per-checkout output hashes."""
+    """A ``run_bench`` stand-in: fixed metrics and per-call walls,
+    per-checkout output hashes."""
     def run_bench(checkout, workload, seed, seconds):
         result = {"correct": correct(checkout.name, seed),
                   "metrics": {"wall_s": {"value": 1.0 if checkout.name == "parent" else 0.5}}}
-        detail = {"workload": workload, "machine": {"nproc": 1},
+        walls = [0.9, 1.0, 1.1] if checkout.name == "parent" else [1.5, 0.5, 1.0]
+        detail = {"workload": workload, "machine": {"nproc": 1}, "wall_samples_s": walls,
                   "output_sha256": {"out.csv": outputs(checkout.name, seed)}}
         return result, [detail]
     return run_bench
@@ -114,4 +116,33 @@ def test_summary_resolves_a_gain_on_wins_and_spread(bench_pairs, better, shifts,
     spec = {"wall_s": {"name": "wall_s", "better": better, "bound": 0.25}}
     change = [p + d for p, d in zip(_PARENT, shifts)]
     row = bench_pairs.summarise(_pairs("track_mc.wall_s", _PARENT, change), spec)["track_mc.wall_s"]
+    assert row["gain_resolved"] is resolved
+
+
+def test_main_summarises_per_call_minima(bench_pairs, monkeypatch, tmp_path):
+    code, doc = _main(bench_pairs, monkeypatch, tmp_path,
+                      _fake_run(lambda side, seed: "a", lambda side, seed: True))
+    assert code == 0
+    for pair in doc["track_mc_pairs"]:
+        assert pair["parent"]["metrics"]["track_mc.wall_s_call_min"]["value"] == 0.9
+        assert pair["change"]["metrics"]["track_mc.wall_s_call_min"]["value"] == 0.5
+    row = doc["track_mc_summary"]["track_mc.wall_s_call_min"]
+    assert row["parent"]["median"] == 0.9 and row["change"]["median"] == 0.5
+    assert row["change_wins"] == 4 and row["bound"] == 0.25
+    assert row["worse_beyond_bound"] is False and row["gain_resolved"] is True
+
+
+@pytest.mark.parametrize("shift, worse, resolved", [
+    (-0.5, False, True),
+    (0.3, True, False),  # 30% of a median of 1.0 is past the bound of wall_s
+    (0.2, False, False),
+])
+def test_summary_bounds_per_call_minima_by_wall_s(bench_pairs, shift, worse, resolved):
+    spec = {"wall_s": {"name": "wall_s", "better": "lower", "bound": 0.25}}
+    parent = [0.9, 1.0, 1.1]
+    row = bench_pairs.summarise(_pairs("separate_wav.wall_s_call_min", parent,
+                                       [p + shift for p in parent]), spec)
+    row = row["separate_wav.wall_s_call_min"]
+    assert row["bound"] == 0.25
+    assert row["worse_beyond_bound"] is worse
     assert row["gain_resolved"] is resolved

@@ -1,12 +1,15 @@
 """The lean hot path against frozen copies of the kernels it replaced.
 
-``solve_beta``, ``_simplex_update``, ``_em_step``, ``filter_frame`` and the
-dynamic loop of ``train`` were rewritten to make fewer numpy calls per
-refinement: extremes read at ``argmin``/``argmax``, ``ndarray.dot`` for
-``@``, a scalar reciprocal for the uniform prior, in-place floors and
+``solve_beta``, ``_simplex_update``, ``filter_frame`` (which now holds the
+E-step) and the dynamic loop of ``train`` were rewritten to make fewer numpy
+calls per refinement: extremes read at ``argmin``/``argmax``, ``ndarray.dot``
+for ``@``, a scalar reciprocal for the uniform prior, in-place floors and
 divides.  None of that may move a bit.  The references below are the
 kernels as they were before, kept verbatim (``@``, min reductions,
 ``np.add(1.0 / eta, beta)``), and every comparison is ``np.array_equal``.
+``_simplex_update``'s near-pole deflation moves bits only where the root
+lies within ``solve_beta``'s bracket resolution of the pole, which these
+inputs do not reach.
 """
 import math
 
