@@ -26,7 +26,9 @@ identical outputs).  Each run's result also gets one
 from the ``wall_samples_s`` of its ``detail`` line and summarised like the
 others with the bound of ``wall_s``.  Per-call minima can agree across runs
 where ``wall_s`` medians spread too widely to resolve a change.  ``machine``
-and ``commands`` are filled in too.
+and ``commands`` are filled in too, and ``commits``: ``{"parent": ..., "change": ...}``,
+each checkout's ``git rev-parse HEAD``, or null where the checkout is not a git
+repository.
 "Better" and the bound of each metric come from the change checkout's
 ``BENCHMARK.json``.
 
@@ -66,6 +68,17 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple
         raise RuntimeError(f"{checkout}: bench/run.py printed nothing (exit {proc.returncode})")
     details = [json.loads(line[len("detail "):]) for line in lines if line.startswith("detail ")]
     return json.loads(lines[-1]), details
+
+
+def checkout_commit(checkout: Path) -> str | None:
+    """The commit ``checkout`` has checked out, or None outside a git repository."""
+    try:
+        proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
+                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                              text=True, check=False)
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def cpu_model() -> str:
@@ -149,6 +162,7 @@ def main() -> int:
         doc["what"] = args.what
     doc["machine"] = {**{k: v for k, v in machine.items() if k != "loadavg_start"},
                       "cpu": cpu_model()}
+    doc["commits"] = {side: checkout_commit(checkouts[side]) for side in SIDES}
     order_note = ", ".join(f"{p['seed']} {p['first']} first" for p in pairs)
     doc.setdefault("commands", {})[f"{args.workload}_pairs"] = (
         f"python3 bench/run.py --workload {args.workload} --seed <seed> "

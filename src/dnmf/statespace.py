@@ -179,8 +179,8 @@ def solve_beta(c: Array, eta: Array) -> float:
     """Find the multiplier normalizing the coefficient update to the simplex.
 
     Solves ``g(beta) = sum_i c[i] / (beta + 1/eta[i]) = 1`` for the unique
-    root right of the pole at ``-min(1/eta[i])`` (taken over entries with
-    ``c[i] > 0``, where ``g`` is strictly decreasing from +inf to 0).
+    root right of the pole at ``-min(1/eta[i])``, where ``g`` falls from +inf
+    to 0; a zero count's ``1/eta[i]`` is taken as +inf, so its term is 0.
 
     When ``eta`` is uniform, ``g(beta) = sum(c) / (beta + 1/eta[0])`` and the
     root is returned in closed form, ``sum(c) - 1/eta[0]``, before any
@@ -232,18 +232,16 @@ def solve_beta(c: Array, eta: Array) -> float:
     if eta_min == eta_max:
         return total - 1.0 / float(eta[0])
 
-    if c_min > 0.0:
-        cs, inv = c, 1.0 / eta
-    else:
-        support = c > 0.0
-        cs, inv = c[support], 1.0 / eta[support]
+    inv = 1.0 / eta
+    if c_min == 0.0:
+        inv[c == 0.0] = math.inf
         k = inv.argmin()
     pole = -float(inv[k])
 
     # Closed-form bracket.  The term with the smallest 1/eta alone gives
     # g(lo) >= c_m / (lo - pole) = 1; every denominator at hi is at least
     # hi - pole = sum(c), so g(hi) <= 1.
-    lo = pole + float(cs[k])
+    lo = pole + float(c[k])
     hi = pole + total
     # Where c_m is below half an ulp of the pole, lo rounds onto it, and so
     # may a start clamped to lo or a final midpoint; a denominator is zero
@@ -254,7 +252,7 @@ def solve_beta(c: Array, eta: Array) -> float:
     beta = max(min(max(total - 1.0, lo), hi), right)
     for _ in range(_BETA_MAX_ITER):
         d = inv + beta
-        q = cs / d
+        q = c / d
         val = float(_sum(q, 0))
         if abs(val - 1.0) <= _BETA_TOL:
             return beta
@@ -282,29 +280,26 @@ def solve_beta(c: Array, eta: Array) -> float:
 def _simplex_update(c: Array, eta: Array, out: Array | None = None) -> Array:
     """Maximize ``sum_i c[i]*log(h[i]) - h[i]/eta[i]`` over the simplex.
 
-    The result is written into ``out`` when given; ``out`` must not be
-    ``c``.
+    The terms are ``c[i] / (1/eta[i] + beta)`` at ``solve_beta``'s root.  Terms
+    whose denominator is at most the root's bracket resolution share by count
+    the deficit the others leave of 1 (after Bunch, Nielsen & Sorensen, 1978).
+    The result is written into ``out`` when given; ``out`` must not be ``c``.
     """
     beta = solve_beta(c, eta)
     out = np.divide(1.0, eta, out=out)
     out += beta
-    # The pole entry, the support entry with the largest eta, has the
-    # smallest positive denominator.  Within solve_beta's bracket resolution
-    # of the pole that denominator is mostly rounding error, but the other
-    # terms are accurate and all sum to 1 at the root, so the pole term is
-    # deflated to 1 minus the others (Bunch, Nielsen & Sorensen, 1978).
-    k = out.argmin()
-    if c[k] == 0.0:
-        k = np.where(c > 0.0, eta, 0.0).argmax()
-    deflate = out[k] <= _BETA_RESOLUTION * max(1.0, abs(beta))
-    # Only a zero count can have 1/eta + beta <= 0 (it may sit exactly on
-    # the root); raising that to the smallest positive float leaves every
-    # positive denominator as it is and makes the entry 0, not 0/0.
-    np.maximum(out, 5e-324, out=out)
-    np.divide(c, out, out=out)
-    if deflate:
-        out[k] = 0.0
-        out[k] = max(1.0 - _sum(out, 0), 0.0)
+    # That close to 0 a denominator is mostly rounding error (only a zero
+    # count's can be <= 0), but the other terms are accurate and sum to 1 at
+    # the root.  +inf zeroes the near terms; zero counts get +0.0 shares.
+    tol = _BETA_RESOLUTION * max(1.0, abs(beta))
+    if out[out.argmin()] > tol:
+        np.divide(c, out, out=out)
+    else:
+        near = out <= tol
+        out[near] = math.inf
+        np.divide(c, out, out=out)
+        cn = c[near]
+        out[near] = cn / (_sum(cn, 0) or 1.0) * max(1.0 - _sum(out, 0), 0.0)
     out /= _sum(out, 0)
     return out
 

@@ -1,7 +1,9 @@
 """``scripts/bench_pairs.py``: output identity per pair, the bound check, the
-resolved-gain check, the per-call minima and the exit code."""
+resolved-gain check, the per-call minima, the commits compared and the exit
+code."""
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -56,6 +58,24 @@ def test_pairs_record_output_identity(bench_pairs, monkeypatch, tmp_path):
     summary = doc["track_mc_summary"]
     assert summary["outputs_identical"] == {"pairs": 4, "identical": 3}
     assert summary["wall_s"]["change_wins"] == 4
+
+
+def test_pairs_record_the_commit_of_each_checkout(bench_pairs, monkeypatch, tmp_path):
+    # The temporary checkouts are not git repositories.
+    code, doc = _main(bench_pairs, monkeypatch, tmp_path,
+                      _fake_run(lambda side, seed: "a", lambda side, seed: True))
+    assert code == 0
+    assert doc["commits"] == {"parent": None, "change": None}
+
+
+def test_checkout_commit_reads_head(bench_pairs, tmp_path):
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git[:3] + ["init", "-q"], check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "empty"], check=True)
+    head = subprocess.run(git[:3] + ["rev-parse", "HEAD"], check=True,
+                          stdout=subprocess.PIPE, text=True).stdout.strip()
+    assert len(head) == 40
+    assert bench_pairs.checkout_commit(tmp_path) == head
 
 
 def test_incorrect_run_exits_one_after_writing(bench_pairs, monkeypatch, tmp_path, capsys):

@@ -7,9 +7,10 @@ for ``@``, a scalar reciprocal for the uniform prior, in-place floors and
 divides.  None of that may move a bit.  The references below are the
 kernels as they were before, kept verbatim (``@``, min reductions,
 ``np.add(1.0 / eta, beta)``), and every comparison is ``np.array_equal``.
-``_simplex_update``'s near-pole deflation moves bits only where the root
-lies within ``solve_beta``'s bracket resolution of the pole, which these
-inputs do not reach.
+``_simplex_update`` departs from its frozen copy only where a denominator
+``1/eta[i] + beta`` is within ``solve_beta``'s bracket resolution of 0 (such
+terms share by count what the others leave of 1), which these inputs do not
+reach.
 """
 import math
 

@@ -154,6 +154,12 @@ def test_solve_beta_bracket_and_oracle_property(inputs):
     h = _simplex_update(c, eta)
     assert np.all(h >= 0.0)
     assert abs(h.sum() - 1.0) <= 1e-12
+    # h[i] = c[i] / (1/eta[i] + beta): entries with equal prior means get
+    # equal h / c.
+    for value in np.unique(eta[support]):
+        tied = support & (eta == value)
+        ratio = h[tied] / c[tied]
+        np.testing.assert_allclose(ratio, ratio[0], rtol=1e-9)
 
 
 def test_solve_beta_validation():
@@ -371,6 +377,91 @@ def test_simplex_update_root_on_the_pole_keeps_the_pole_term():
     want = _exact_simplex_update(c, 1.0 / inv)
     assert want[0] == pytest.approx(1e-4, rel=1e-9)
     assert np.max(np.abs(h - want)) <= 1e-12
+
+
+def test_simplex_update_uniform_prior_on_the_pole_is_normalized_counts():
+    # beta = 3e-10 - 1e6 rounds to within an ulp of the pole -1e6, so both
+    # denominators are rounding error; the counts alone set the shares.
+    h = _simplex_update(np.array([1e-10, 2e-10]), np.full(2, 1e-6))
+    np.testing.assert_allclose(h, [1.0 / 3.0, 2.0 / 3.0], rtol=1e-15)
+
+
+def test_simplex_update_twin_poles_share_the_pole_mass():
+    # Two entries share the pole -3.9, each with count 1e-22; the other terms
+    # sum to 1 - 1e-4 there, so the twins split 1e-4 evenly.
+    inv = np.array([3.9, 3.9, 4.5, 6.0, 9.0])
+    c = np.concatenate([[1e-22, 1e-22], (1.0 - 1e-4) * np.array([0.5, 0.3, 0.2]) * (inv[2:] - 3.9)])
+    h = _simplex_update(c, 1.0 / inv)
+    want = _exact_simplex_update(c, 1.0 / inv)
+    np.testing.assert_allclose(want[:2], [5e-5, 5e-5], rtol=1e-9)
+    assert np.max(np.abs(h - want)) <= 1e-12
+
+
+def test_simplex_update_denominator_rounding_to_zero_does_not_overflow():
+    # beta = 1e-14 - 1e5 rounds to -1e5, so the only denominator is 0.
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        h = _simplex_update(np.array([1e-14]), np.array([1e-5]))
+    assert np.array_equal(h, [1.0])
+
+
+def _log_floats(lo, hi):
+    """Floats ``10**e`` with exponent ``e`` drawn from ``[lo, hi]``."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def _extreme_normalizer_inputs(draw):
+    """Prior means in 1e-6..1e6 with ties and uniform cases; counts in
+    1e-30..1e3 with zeros, those at the largest eta (the pole) down to 1e-300."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["free", "tie", "uniform"]))
+    if kind == "uniform":
+        eta = np.full(n, draw(_log_floats(-6, 6)))
+    else:
+        eta = np.array(draw(st.lists(_log_floats(-6, 6), min_size=n, max_size=n)))
+    if kind == "tie":
+        eta[draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))] = eta.max()
+    pole = eta == eta.max()
+    c = np.array([draw(st.one_of(st.just(0.0), _log_floats(-300 if p else -30, 3))) for p in pole])
+    if c.sum() <= 0.0:
+        c[draw(st.integers(0, n - 1))] = draw(_log_floats(-300, 3))
+    return c, eta
+
+
+@settings(max_examples=500, deadline=None)
+@given(_extreme_normalizer_inputs())
+def test_simplex_update_is_a_finite_simplex_point_without_float_errors(inputs):
+    c, eta = inputs
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        h = _simplex_update(c, eta)
+    assert np.all(np.isfinite(h)) and np.all(h >= 0.0)
+    assert abs(h.sum() - 1.0) <= 1e-12
+
+
+def test_zero_count_entries_leave_the_root_and_the_update_unchanged():
+    rng = np.random.default_rng(24)
+    for _ in range(300):
+        n = int(rng.integers(1, 20))
+        c = rng.uniform(0.01, 2.0, size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        eta = 10.0 ** rng.uniform(-2.0, 2.0, size=n)
+        if rng.uniform() < 0.2:
+            eta[:] = eta[0]
+        beta, h = solve_beta(c, eta), _simplex_update(c, eta)
+        m = int(rng.integers(1, 6))
+        eta_zero = 10.0 ** rng.uniform(-2.0, 2.0, size=m)
+        if beta < 0.0:
+            # Some inserted entries get 1/eta + beta <= 0: on the root or
+            # left of it, past the pole.
+            left = rng.uniform(size=m) < 0.5
+            eta_zero[left] = 1.0 / (-beta * rng.uniform(0.1, 1.0, size=left.sum()))
+            eta_zero[left & (rng.uniform(size=m) < 0.3)] = -1.0 / beta
+        slots = np.sort(rng.integers(0, n + 1, size=m))
+        c_pad, eta_pad = np.insert(c, slots, 0.0), np.insert(eta, slots, eta_zero)
+        zero = np.insert(np.zeros(n, bool), slots, True)
+        assert abs(solve_beta(c_pad, eta_pad) - beta) <= 1e-11 * max(1.0, abs(beta))
+        h_pad = _simplex_update(c_pad, eta_pad)
+        assert np.all(h_pad[zero] == 0.0) and not np.any(np.signbit(h_pad[zero]))
+        assert np.max(np.abs(h_pad[~zero] - h)) <= 1e-9
 
 
 def test_train_near_pole_updates_match_exact_arithmetic(monkeypatch):
