@@ -24,6 +24,7 @@ tracking behaviour independent of the signal's loudness.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,9 +38,6 @@ __all__ = [
     "DnmfModel",
     "TrainConfig",
     "FilterState",
-    "solve_beta",
-    "build_lag_matrix",
-    "estimate_nvar",
     "train",
     "filter_stream",
     "map_objective",
@@ -146,8 +144,8 @@ class FilterState:
     ):
         if not 0.0 < anneal <= 1.0:
             raise ValueError("anneal must lie in (0, 1]")
-        if inner_iters < 1:
-            raise ValueError("inner_iters must be at least 1")
+        if not isinstance(inner_iters, numbers.Integral) or inner_iters < 1:
+            raise ValueError(f"inner_iters {inner_iters!r} must be an integer of at least 1")
         self.model = model
         self.anneal = float(anneal)
         self.inner_iters = int(inner_iters)
@@ -196,44 +194,21 @@ def solve_beta(c: Array, eta: Array) -> float:
     ``|g(beta) - 1| <= 1e-12`` or once the bracket is no wider than a few
     ulps of ``beta``.
 
-    Parameters
-    ----------
-    c : np.ndarray
-        Finite nonnegative weighted counts with positive total.
-    eta : np.ndarray
-        Finite, strictly positive prior means, same length.
-
-    Returns
-    -------
-    float
-        The root ``beta``; ``beta + 1/eta[i] > 0`` wherever ``c[i] > 0``.
+    Precondition, checked by the public entry points and not here: ``c`` and
+    ``eta`` are 1-D float64 arrays of equal length, ``c`` finite and
+    nonnegative with a positive total, ``eta`` finite and strictly positive.
+    The root ``beta`` is returned; ``beta + 1/eta[i] > 0`` wherever ``c[i] > 0``.
     """
-    c = np.asarray(c, dtype=np.float64)
-    eta = np.asarray(eta, dtype=np.float64)
-    if c.shape != eta.shape or c.ndim != 1:
-        raise ValueError("c and eta must be 1-D arrays of equal length")
-    if c.size == 0:
-        raise ValueError("counts must have positive total")
     total = float(_sum(c, 0))
     # The largest eta has the smallest 1/eta: on full support it is the pole.
     # Indexing at argmin/argmax reads the same extremes as a min reduction,
-    # NaN included (both pick the first NaN), for a fraction of the dispatch.
+    # for a fraction of the dispatch.
     k = eta.argmax()
-    c_min, eta_min, eta_max = c[c.argmin()], eta[eta.argmin()], eta[k]
-    # A NaN or infinite entry makes the total or an extreme of eta non-finite.
-    if not all(map(math.isfinite, (total, eta_min, eta_max))):
-        raise ValueError("counts and prior means must be finite")
-    if c_min < 0.0:
-        raise ValueError("counts must be nonnegative")
-    if eta_min <= 0.0:
-        raise ValueError("prior means must be strictly positive")
-    if total <= 0.0:
-        raise ValueError("counts must have positive total")
-    if eta_min == eta_max:
+    if eta[eta.argmin()] == eta[k]:
         return total - 1.0 / float(eta[0])
 
     inv = 1.0 / eta
-    if c_min == 0.0:
+    if c[c.argmin()] == 0.0:
         inv[c == 0.0] = math.inf
         k = inv.argmin()
     pole = -float(inv[k])
@@ -311,23 +286,10 @@ def build_lag_matrix(h: Array, order: int) -> Array:
     lag first, the layout of the stacked lags ``[A_J ... A_1]`` throughout
     this module; lags before the first frame are all-ones.
 
-    Parameters
-    ----------
-    h : np.ndarray
-        Coefficients, shape (I, T).
-    order : int
-        Number of lags, >= 1.
-
-    Returns
-    -------
-    np.ndarray
-        Lag matrix, shape (I * order, T).
+    Precondition, checked by the public entry points and not here: ``h`` is a
+    2-D float64 array of shape (I, T) and ``order >= 1``.  The result has
+    shape (I * order, T).
     """
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 2:
-        raise ValueError("coefficients must be 2-D")
-    if order < 1:
-        raise ValueError("order must be at least 1")
     ncomp, nframes = h.shape
     hist = np.vstack((np.ones((order, ncomp)), h.T))
     # Windows of the flat history, one frame (ncomp entries) apart.
@@ -343,28 +305,11 @@ def estimate_nvar(h: Array, a: Array, v: Array) -> Array:
     The result is not normalized; entry scale carries the relative importance
     of each lag.
 
-    Parameters
-    ----------
-    h : np.ndarray
-        Coefficient trajectories, shape (I, T).
-    a : np.ndarray
-        Current stacked lag matrices ``[A_J ... A_1]`` (the layout of
-        ``v``'s rows), shape (I, I * order), nonnegative.
-    v : np.ndarray
-        Lag matrix from :func:`build_lag_matrix`, shape (I * order, T).
-
-    Returns
-    -------
-    np.ndarray
-        Updated stacked lag matrices, same shape as ``a``.
+    Precondition, checked by the public entry points and not here: float64
+    coefficients ``h`` (I, T), nonnegative stacked lags ``a`` = ``[A_J ...
+    A_1]`` (I, I * order) and ``v`` = ``build_lag_matrix(h, order)``.  The
+    updated stacked lags, of ``a``'s shape, are returned.
     """
-    h = np.asarray(h, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if a.shape != (h.shape[0], v.shape[0]) or v.shape[1] != h.shape[1]:
-        raise ValueError(
-            f"inconsistent shapes: h {h.shape}, a {a.shape}, v {v.shape}"
-        )
     return is_nmf_update_w(h, a, v)
 
 
@@ -533,6 +478,20 @@ def filter_frame(state: FilterState, x: Array) -> Array:
     return h
 
 
+def _checked(a, name: str, rows: int, cols: int | None = None) -> Array:
+    """``a`` as float64 once it is 2-D with ``rows`` rows (and ``cols``
+    columns when given) and every entry is finite and nonnegative: the one
+    check of ``filter_stream``'s frames and of the scores' coefficients."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != rows or (cols is not None and a.shape[1] != cols):
+        want = f"{rows} rows" if cols is None else f"shape ({rows}, {cols})"
+        raise ValueError(f"{name} must be 2-D with {want}, got shape {a.shape}")
+    # NaN fails both comparisons, -inf the first and +inf the second.
+    if a.size and not (a.min() >= 0.0 and a.max() < math.inf):
+        raise ValueError(f"{name} must be nonnegative and finite")
+    return a
+
+
 def filter_stream(state: FilterState, frames: Array) -> Array:
     """Filter every column of ``frames`` in order with :func:`filter_frame`.
 
@@ -564,12 +523,7 @@ def filter_stream(state: FilterState, frames: Array) -> Array:
         invalid="raise", divide="raise")``.  The frames before the failing
         one stay in ``state``'s history; the failing frame leaves none.
     """
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[0] != state.model.n_features:
-        raise ValueError(f"frames must be 2-D with {state.model.n_features} rows")
-    # NaN fails both comparisons, -inf the first and +inf the second.
-    if frames.size and not (frames.min() >= 0.0 and frames.max() < math.inf):
-        raise ValueError("frames must be nonnegative and finite")
+    frames = _checked(frames, "frames", state.model.n_features)
     h = np.empty((state.model.n_components, frames.shape[1]))
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         for t in range(frames.shape[1]):
@@ -586,14 +540,11 @@ def map_objective(x: Array, model: DnmfModel, h: Array) -> float:
     (all-ones padding for missing lags).  Terms depending only on the data
     are omitted.  Without annealing, a training iteration was seen to lower
     it only where a prediction sits on the ``EPS`` floor (before or after).
+    Raises ``ValueError`` where ``x`` or ``h`` has the wrong shape or a
+    negative, NaN or infinite entry.
     """
     data = nonneg_matrix(x, name="data")
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape != (model.n_components, data.shape[1]):
-        raise ValueError(
-            f"coefficients shape {h.shape} does not match model/data "
-            f"({model.n_components}, {data.shape[1]})"
-        )
+    h = _checked(h, "coefficients", model.n_components, data.shape[1])
     if data.shape[0] != model.n_features:
         raise ValueError("data row count does not match model features")
     xf = np.maximum(data, EPS)
@@ -610,10 +561,11 @@ def lag_fit_divergence(model: DnmfModel, h: Array) -> float:
 
     Returns ``d_IS(max(h, EPS) || max(sum_j A_j h_{t-j}, EPS))``, all-ones
     padding for missing lags.  Raises ``ValueError`` for an order-0 model
-    or for ``h`` of the wrong shape.
+    or for ``h`` of the wrong shape or with a negative, NaN or infinite entry.
     """
     if model.order < 1:
         raise ValueError("model has no lag matrices (order 0)")
+    h = _checked(h, "coefficients", model.n_components)
     return is_divergence(np.maximum(h, EPS), _predict_all(model.lags, h))
 
 

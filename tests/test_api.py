@@ -43,9 +43,6 @@ MODULE_ONLY = {
     "stochastic_matrix": "dnmf.core",
     "normalize_columns": "dnmf.core",
     "is_nmf_update_w": "dnmf.plca",
-    "solve_beta": "dnmf.statespace",
-    "build_lag_matrix": "dnmf.statespace",
-    "estimate_nvar": "dnmf.statespace",
     "wiener_reconstruct": "dnmf.dsp",
 }
 

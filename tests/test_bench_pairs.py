@@ -1,6 +1,6 @@
 """``scripts/bench_pairs.py``: output identity per pair, the bound check, the
-resolved-gain check, the per-call minima, the commits compared and the exit
-code."""
+resolved-gain check, the per-call minima, the commits and source line counts
+compared and the exit code."""
 import importlib.util
 import json
 import subprocess
@@ -36,7 +36,7 @@ def _fake_run(outputs, correct):
 
 def _main(module, monkeypatch, tmp_path, run_bench):
     for side in ("parent", "change"):
-        (tmp_path / side).mkdir()
+        (tmp_path / side).mkdir(exist_ok=True)
     (tmp_path / "change" / "BENCHMARK.json").write_text(
         json.dumps({"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}))
     out = tmp_path / "pairs.json"
@@ -66,6 +66,22 @@ def test_pairs_record_the_commit_of_each_checkout(bench_pairs, monkeypatch, tmp_
                       _fake_run(lambda side, seed: "a", lambda side, seed: True))
     assert code == 0
     assert doc["commits"] == {"parent": None, "change": None}
+
+
+def test_pairs_record_the_src_lines_of_each_checkout(bench_pairs, monkeypatch, tmp_path):
+    # Only src/dnmf/*.py counts; a last line without a newline does not, as in wc -l.
+    files = {"parent": {"src/dnmf/a.py": "1\n2\n3\n", "src/dnmf/b.py": "1\n2"},
+             "change": {"src/dnmf/a.py": "1\n", "src/dnmf/sub/c.py": "1\n", "src/d.py": "1\n",
+                        "src/dnmf/e.txt": "1\n"}}
+    for side, texts in files.items():
+        for rel, text in texts.items():
+            path = tmp_path / side / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    code, doc = _main(bench_pairs, monkeypatch, tmp_path,
+                      _fake_run(lambda side, seed: "a", lambda side, seed: True))
+    assert code == 0
+    assert doc["src_lines"] == {"parent": 4, "change": 1}
 
 
 def test_checkout_commit_reads_head(bench_pairs, tmp_path):

@@ -162,27 +162,6 @@ def test_solve_beta_bracket_and_oracle_property(inputs):
         np.testing.assert_allclose(ratio, ratio[0], rtol=1e-9)
 
 
-def test_solve_beta_validation():
-    ones = np.ones(2)
-    with pytest.raises(ValueError):
-        solve_beta(np.array([1.0, -1.0]), ones)
-    with pytest.raises(ValueError):
-        solve_beta(np.zeros(2), ones)
-    with pytest.raises(ValueError):
-        solve_beta(ones, np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        solve_beta(ones, np.ones(3))
-    with pytest.raises(ValueError, match="positive total"):
-        solve_beta(np.zeros(0), np.zeros(0))
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError):
-            solve_beta(np.array([1.0, bad]), ones)
-        with pytest.raises(ValueError):
-            solve_beta(ones, np.array([1.0, bad]))
-        with pytest.raises(ValueError):
-            solve_beta(np.array([1.0, bad]), np.array([1.0, 2.0]))
-
-
 def _solve_beta_newton(c, eta):
     """Reference normalizer: Newton on ``g(beta) = 1``, no closed-form uniform path."""
     c = np.asarray(c, dtype=np.float64)
@@ -536,13 +515,6 @@ def test_build_lag_matrix_hand_case():
     np.testing.assert_array_equal(v2[:2], [[1.0, 1.0, 1.0], [1.0, 1.0, 4.0]])
 
 
-def test_build_lag_matrix_validation():
-    with pytest.raises(ValueError):
-        build_lag_matrix(np.ones((2, 3)), 0)
-    with pytest.raises(ValueError):
-        build_lag_matrix(np.ones(5), 1)
-
-
 def test_estimate_nvar_decreases_divergence():
     rng = np.random.default_rng(41)
     h = rng.uniform(0.1, 1.0, size=(3, 30))
@@ -557,11 +529,6 @@ def test_estimate_nvar_decreases_divergence():
     d50 = is_divergence(h, np.maximum(a50 @ v, EPS))
     assert d1 <= d0 + 1e-9
     assert d50 <= d1 + 1e-9
-
-
-def test_estimate_nvar_validation():
-    with pytest.raises(ValueError):
-        estimate_nvar(np.ones((2, 5)), np.ones((2, 2)), np.ones((2, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -947,6 +914,8 @@ def test_filter_frame_validation():
         FilterState(model, anneal=0.0)
     with pytest.raises(ValueError):
         FilterState(model, inner_iters=0)
+    with pytest.raises(ValueError, match="inner_iters 1.5 "):
+        FilterState(model, 0.2, 1.5)
 
 
 def _filter_loop(state, frames):
@@ -1113,6 +1082,11 @@ def test_map_objective_validation():
         map_objective(np.ones((5, 4)), model, np.ones((3, 4)))
     with pytest.raises(ValueError):
         map_objective(np.ones((6, 4)), model, np.ones((2, 4)))
+    for bad in (np.nan, np.inf, -1.0):
+        h = np.full((2, 4), 0.5)
+        h[1, 2] = bad
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            map_objective(np.ones((5, 4)), model, h)
 
 
 def test_map_objective_prefers_better_reconstruction():
@@ -1145,3 +1119,70 @@ def test_lag_fit_divergence_validation():
         lag_fit_divergence(model, np.ones((3, 4)))
     with pytest.raises(ValueError):
         lag_fit_divergence(model, np.ones(2))
+    for bad in (np.nan, np.inf, -1.0):
+        h = np.full((2, 4), 0.5)
+        h[1, 2] = bad
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            lag_fit_divergence(model, h)
+
+
+# ---------------------------------------------------------------------------
+# public boundary: the only place arrays are checked; the kernels trust them
+
+_BAD_ENTRIES = st.sampled_from([np.nan, np.inf, -np.inf, -1.0, -5e-324])
+_RESHAPES = {
+    "1-D": np.ravel,
+    "3-D": lambda a: a[None],
+    "extra row": lambda a: np.vstack([a, a[:1]]),
+    "extra column": lambda a: np.hstack([a, a[:, :1]]),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_public_boundary_rejects_bad_arrays_with_value_error(data):
+    """A NaN, infinite or negative entry or a wrong shape in any array that
+    ``DnmfModel``, ``train``, ``filter_stream``, ``map_objective`` or
+    ``lag_fit_divergence`` takes raises ``ValueError`` and leaves a filter
+    state's history as it was; the unbroken call returns finite numbers."""
+    draw = data.draw
+    k, i, t = draw(st.integers(2, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    order = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arrays = {
+        "basis": normalize_columns(rng.uniform(0.05, 1.0, size=(k, i))),
+        "lag": rng.uniform(0.0, 1.0, size=(i, i)),
+        "x": rng.uniform(0.0, 2.0, size=(k, t)),
+        "h": normalize_columns(rng.uniform(0.05, 1.0, size=(i, t))),
+    }
+    model = DnmfModel(basis=arrays["basis"], lags=[arrays["lag"]] * order)
+    state = FilterState(model)
+    filter_stream(state, arrays["x"])
+    history = state.history.copy()
+    calls = {  # entry point: (its call, the array broken, reshapes it rejects)
+        "DnmfModel basis": (lambda a: DnmfModel(basis=a, lags=model.lags),
+                            "basis", list(_RESHAPES)),
+        "DnmfModel lag": (lambda a: DnmfModel(basis=model.basis, lags=[a] * order),
+                          "lag", list(_RESHAPES)),
+        "train": (lambda a: train(a, i, order, TrainConfig(iters=2, prior_start=1))[1],
+                  "x", ["1-D", "3-D"]),
+        "filter_stream": (lambda a: filter_stream(state, a), "x", ["1-D", "3-D", "extra row"]),
+        "map_objective x": (lambda a: map_objective(a, model, arrays["h"]), "x", list(_RESHAPES)),
+        "map_objective h": (lambda a: map_objective(arrays["x"], model, a), "h", list(_RESHAPES)),
+        "lag_fit_divergence": (lambda a: lag_fit_divergence(model, a),
+                               "h", ["1-D", "3-D", "extra row"]),
+    }
+    call, name, reshapes = calls[draw(st.sampled_from(sorted(calls)))]
+    how = draw(st.sampled_from(["none", "entry"] + reshapes))
+    a = arrays[name].copy()
+    if how == "none":
+        out = call(a)
+        assert isinstance(out, DnmfModel) or np.all(np.isfinite(out))
+        return
+    if how == "entry":
+        a.flat[draw(st.integers(0, a.size - 1))] = draw(_BAD_ENTRIES)
+    else:
+        a = _RESHAPES[how](a)
+    with pytest.raises(ValueError):
+        call(a)
+    assert np.array_equal(state.history, history)
