@@ -13,8 +13,8 @@ import warnings
 
 import numpy as np
 
-from .core import nonneg_matrix, normalize_columns
-from .dsp import _check_hop, stft
+from .core import _checked_exponent, _checked_int, nonneg_matrix, normalize_columns
+from .dsp import _check_fft_size, _check_hop, stft
 from .experiments import (
     _TRACK_ANNEAL,
     SeparationScenario,
@@ -53,7 +53,7 @@ def save_model(
         "J": model.order,
         "W": model.basis.tolist(),
         "A": [a.tolist() for a in model.lags],
-        "train_q": train_q,
+        "train_q": _checked_exponent(train_q, "train_q"),
         "metadata": dict(metadata or {}),
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -69,8 +69,8 @@ def load_model(path: str) -> tuple[DnmfModel, float, dict]:
     :class:`DnmfModel` checks shapes, signs, finiteness and the column sums
     of the basis; drift in those sums between 1e-9 and its 1e-6 tolerance is
     renormalized away with a warning.  ``format_version``, ``K``, ``I`` and
-    ``J`` must be JSON integers and ``train_q`` a JSON number (``true``,
-    ``9.0`` and ``"0.5"`` are not).  Any malformed document raises
+    ``J`` must be JSON integers and ``train_q`` a number in (0, 1] (``true``,
+    ``9.0`` and ``"0.5"`` are neither).  Any malformed document raises
     ``ValueError`` naming the file.
     """
     try:
@@ -80,19 +80,13 @@ def load_model(path: str) -> tuple[DnmfModel, float, dict]:
         raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: model document must be a JSON object")
-    version = doc.get("format_version")
-    if not _is_json_int(version) or version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format_version {version!r}")
     try:
+        version = doc.get("format_version")
+        if _checked_int(version, "format_version") != FORMAT_VERSION:
+            raise ValueError(f"unsupported format_version {version!r}")
         model = DnmfModel(basis=doc["W"], lags=list(doc["A"]))
-        sizes = (doc["K"], doc["I"], doc["J"])
-        for key, size in zip("KIJ", sizes):
-            if not _is_json_int(size):
-                raise TypeError(f"{key} must be a JSON integer, got {size!r}")
-        train_q = doc["train_q"]
-        if not (_is_json_int(train_q) or isinstance(train_q, float)):
-            raise TypeError(f"train_q must be a JSON number, got {train_q!r}")
-        train_q = float(train_q)
+        sizes = tuple(_checked_int(doc[key], key) for key in "KIJ")
+        train_q = _checked_exponent(doc["train_q"], "train_q")
         metadata = dict(doc.get("metadata", {}))
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}") from None
@@ -110,11 +104,6 @@ def load_model(path: str) -> tuple[DnmfModel, float, dict]:
     return model, train_q, metadata
 
 
-def _is_json_int(value) -> bool:
-    """Whether ``json.load`` read ``value`` from an integer literal."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _load_training_matrix(path: str, fft_size: int, hop: int) -> np.ndarray:
     if path.lower().endswith(".csv"):
         try:
@@ -126,6 +115,7 @@ def _load_training_matrix(path: str, fft_size: int, hop: int) -> np.ndarray:
             return nonneg_matrix(mat, name="data")
         except ValueError as exc:  # unparsable text, invalid UTF-8, bad values
             raise ValueError(f"{path}: {exc}") from None
+    _check_fft_size(fft_size)
     if hop > fft_size:
         raise ValueError(f"--hop {hop} above --fft {fft_size} would skip samples")
     samples, _ = _read_signal(path, fft_size)
@@ -168,12 +158,7 @@ def cmd_separate(args: argparse.Namespace) -> int:
         raise ValueError(f"--out1 {args.out1} and --out2 {args.out2} are the same file")
     model_a, _, _ = load_model(args.model1)
     model_b, _, _ = load_model(args.model2)
-    fft_size = 2 * (model_a.n_features - 1)
-    if fft_size < 2 or fft_size & (fft_size - 1):
-        raise ValueError(
-            f"model spectrum size {model_a.n_features} does not correspond "
-            "to a power-of-two FFT"
-        )
+    fft_size = _check_fft_size(2 * (model_a.n_features - 1))
     hop = args.hop if args.hop is not None else max(1, fft_size // 4)
     _check_hop(fft_size, hop)
     samples, rate = _read_signal(args.mixture, fft_size)
@@ -200,20 +185,15 @@ def cmd_separate(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     if args.scenario == "tracking":
-        scenario = TrackingScenario()
-        if args.runs is not None:
-            scenario.runs = args.runs
-        if args.snr:
-            scenario.snr_grid = tuple(args.snr)
+        given = {"runs": args.runs, "snr_grid": tuple(args.snr) if args.snr else None}
+        scenario = TrackingScenario(**{k: v for k, v in given.items() if v is not None})
         report = run_tracking(scenario, seed=args.seed)
     else:
         if args.runs is not None:
             raise ValueError("--runs applies to --scenario tracking only")
         if args.snr and len(args.snr) > 1:
             raise ValueError(f"--scenario separation takes one --snr value, got {len(args.snr)}")
-        scenario = SeparationScenario()
-        if args.snr:
-            scenario.mix_snr_db = args.snr[0]
+        scenario = SeparationScenario(**({"mix_snr_db": args.snr[0]} if args.snr else {}))
         report = run_separation(scenario, seed=args.seed)
     report.write_csv(args.csv)
     print(f"{len(report.rows)} rows written to {args.csv}")

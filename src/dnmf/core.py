@@ -1,10 +1,12 @@
 """Dense nonnegative-matrix utilities shared across the package.
 
-Everything operates on plain float64 numpy arrays.  The constructors below
-validate shape/sign invariants once at the boundary; the iterative code paths
-then stay branch-light and trust their inputs.
+Everything operates on plain float64 numpy arrays.  The helpers below validate
+scalars and shape/sign invariants once at the boundary; the iterative code
+paths then stay branch-light and trust their inputs.
 """
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -25,6 +27,20 @@ __all__ = [
     "normalize_columns",
     "is_divergence",
 ]
+
+
+def _checked_int(value, name: str, minimum: int = 0) -> int:
+    """``int(value)`` for an integer (not a ``bool``) >= ``minimum``; else ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} {value!r} must be an integer of at least {minimum}")
+    return int(value)
+
+
+def _checked_exponent(value, name: str = "anneal") -> float:
+    """``float(value)`` for a real number (not a ``bool``) in (0, 1]; else ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value <= 1.0:
+        raise ValueError(f"{name} {value!r} must lie in (0, 1]")
+    return float(value)
 
 
 def nonneg_matrix(data, name: str = "matrix") -> Array:

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import EPS, Array
+from .core import EPS, Array, _checked_int
 
 __all__ = [
     "stft",
@@ -23,12 +23,19 @@ def _hann(n: int) -> Array:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
+def _check_fft_size(fft_size) -> int:
+    """``int(fft_size)`` for a power of two of at least 2; else ``ValueError``."""
+    fft_size = _checked_int(fft_size, "fft_size", 2)
+    if fft_size & (fft_size - 1):
+        raise ValueError(f"fft_size {fft_size} must be a power of two")
+    return fft_size
+
+
 def _check_hop(fft_size: int, hop: int) -> None:
     """Raise ``ValueError`` unless :func:`istft` keeps every interior sample:
     offset ``r`` of each hop sums the squared window at ``r, r + hop, ...``,
     and a sum below the cutoff would zero that offset in every hop."""
-    if hop < 1:
-        raise ValueError("hop must be positive")
+    _checked_int(hop, "hop", 1)
     if hop < fft_size:
         wsq = np.zeros(-(-fft_size // hop) * hop)  # rows of the view: window slabs
         wsq[:fft_size] = _hann(fft_size) ** 2
@@ -50,9 +57,9 @@ def stft(signal: Array, fft_size: int, hop: int) -> Array:
     signal : np.ndarray
         Real 1-D signal, at least ``fft_size`` samples long.
     fft_size : int
-        Window/FFT length, a power of two.
+        Window/FFT length, a power of two of at least 2.
     hop : int
-        Frame advance in samples.
+        Frame advance in samples, at least 1.
 
     Returns
     -------
@@ -62,10 +69,8 @@ def stft(signal: Array, fft_size: int, hop: int) -> Array:
     signal = np.asarray(signal, dtype=np.float64)
     if signal.ndim != 1:
         raise ValueError("signal must be 1-D")
-    if fft_size < 2 or fft_size & (fft_size - 1):
-        raise ValueError("fft_size must be a power of two")
-    if hop < 1:
-        raise ValueError("hop must be positive")
+    _check_fft_size(fft_size)
+    _checked_int(hop, "hop", 1)
     if signal.shape[0] < fft_size:
         raise ValueError(
             f"signal length {signal.shape[0]} shorter than fft_size {fft_size}"
@@ -113,8 +118,7 @@ def istft(frames: Array, hop: int) -> Array:
         )
     if frames.shape[1] < 1:
         raise ValueError("frames must hold at least one frame")
-    if hop < 1:
-        raise ValueError("hop must be positive")
+    _checked_int(hop, "hop", 1)
     fft_size = 2 * half
     n_frames = frames.shape[1]
     window = _hann(fft_size)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS, Array
+from .core import EPS, Array, _checked_int
 from .dsp import _BLOCK, istft, mix_at_snr, output_snr, stft
 from .statespace import DnmfModel, FilterState, TrainConfig, concat_models, filter_stream, train
 
@@ -55,6 +55,9 @@ class TrackingScenario:
     peak_frame: int = 127
     snr_grid: tuple = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0)
     runs: int = 50
+
+    def __post_init__(self) -> None:
+        self.runs = _checked_int(self.runs, "runs", 1)
 
 
 @dataclass
@@ -194,8 +197,6 @@ def run_tracking(scenario: TrackingScenario, seed: int = 0) -> ExperimentReport:
     predictions annealed by 0.25.  One MSE row is recorded per run, method,
     and SNR.
     """
-    if scenario.runs < 1:
-        raise ValueError("runs must be at least 1")
     signal, truths = gen_swept_sinusoid(scenario)
     n_bins = scenario.fft_size // 2 + 1
     static = DnmfModel(basis=np.eye(n_bins), lags=[])

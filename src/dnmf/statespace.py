@@ -24,13 +24,13 @@ tracking behaviour independent of the signal's loudness.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import EPS, Array, is_divergence, nonneg_matrix, normalize_columns, stochastic_matrix
+from .core import (EPS, Array, _checked_exponent, _checked_int, is_divergence, nonneg_matrix,
+                   normalize_columns, stochastic_matrix)
 from .plca import is_nmf_update_w
 
 __all__ = [
@@ -103,7 +103,9 @@ class TrainConfig:
     lock the coefficients; at 1 no iteration lowers :func:`map_objective`
     unless a prediction sits on the ``EPS`` floor (measured, not proven).  At
     order 0 (static PLCA) ``prior_start`` has no effect but must still lie in
-    ``[0, iters]``, so short static runs pass ``prior_start=0``.
+    ``[0, iters]``, so short static runs pass ``prior_start=0``.  A size or
+    seed that is not an integer (``2.0`` and ``True`` are not), or is out of
+    range, raises ``ValueError``, as does an ``anneal`` outside (0, 1].
     """
 
     iters: int = 100
@@ -112,14 +114,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.iters < 1:
-            raise ValueError(f"iters {self.iters} must be at least 1")
-        if not 0 <= self.prior_start <= self.iters:
-            raise ValueError(
-                f"prior_start {self.prior_start} must lie in [0, iters={self.iters}]"
-            )
-        if not 0.0 < self.anneal <= 1.0:
-            raise ValueError(f"anneal {self.anneal} must lie in (0, 1]")
+        self.iters = _checked_int(self.iters, "iters", 1)
+        self.prior_start = _checked_int(self.prior_start, "prior_start")
+        if self.prior_start > self.iters:
+            raise ValueError(f"prior_start {self.prior_start} must lie in [0, iters={self.iters}]")
+        self.seed = _checked_int(self.seed, "seed")
+        self.anneal = _checked_exponent(self.anneal)
 
 
 class FilterState:
@@ -133,22 +133,15 @@ class FilterState:
     as ``[A_J ... A_1]``, so a prediction is one matvec with the raveled
     history, and later changes to ``model.lags`` do not reach the state.
     Filtering is fully deterministic: identical state and identical frames
-    produce bit-identical coefficient streams.
+    produce bit-identical coefficient streams.  ``ValueError`` is raised for
+    an ``anneal`` outside (0, 1] or an ``inner_iters`` that is not an integer
+    of at least 1 (``True`` is not).
     """
 
-    def __init__(
-        self,
-        model: DnmfModel,
-        anneal: float = 0.15,
-        inner_iters: int = 1,
-    ):
-        if not 0.0 < anneal <= 1.0:
-            raise ValueError("anneal must lie in (0, 1]")
-        if not isinstance(inner_iters, numbers.Integral) or inner_iters < 1:
-            raise ValueError(f"inner_iters {inner_iters!r} must be an integer of at least 1")
+    def __init__(self, model: DnmfModel, anneal: float = 0.15, inner_iters: int = 1):
+        self.anneal = _checked_exponent(anneal)
+        self.inner_iters = _checked_int(inner_iters, "inner_iters", 1)
         self.model = model
-        self.anneal = float(anneal)
-        self.inner_iters = int(inner_iters)
         self.history = np.ones((model.order, model.n_components))
         self._lag_stack = _stack_lags(model.lags) if model.order else None
 
@@ -350,8 +343,9 @@ def train(
     Raises
     ------
     ValueError
-        For data that is not a finite, nonnegative 2-D matrix, and for
-        ``rank < 1`` or ``order < 0``.
+        For data that is not a finite, nonnegative 2-D matrix, and for a
+        ``rank`` or ``order`` that is not an integer (``1.5`` and ``True`` are
+        not) of at least 1 or 0.
     FloatingPointError
         At the first float64 overflow, invalid operation or division by
         zero (finite entries near 1e308 overflow): the iterations run under
@@ -359,10 +353,7 @@ def train(
     """
     cfg = config if config is not None else TrainConfig()
     data = nonneg_matrix(x, name="data")
-    if rank < 1:
-        raise ValueError("rank must be at least 1")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    rank, order = _checked_int(rank, "rank", 1), _checked_int(order, "order")
     nfeat, nframes = data.shape
 
     with np.errstate(over="raise", invalid="raise", divide="raise"):

@@ -171,3 +171,33 @@ def test_every_submodule_export_has_a_caller():
         ))
     ]
     assert dead == []
+
+
+def test_scalar_checks_live_in_core_only():
+    """Only ``dnmf.core`` tests whether a value is an integer.
+
+    Any other ``src/dnmf`` module that imports ``numbers``, reads
+    ``Integral``, ``np.integer`` or ``is_integer``, calls ``isinstance``
+    against ``int`` or ``bool``, or defines a function named for an integer
+    check (``_is_json_int``) fails: sizes, counts, seeds and hops go through
+    ``core._checked_int`` and exponents through ``core._checked_exponent``.
+    """
+    found = []
+    for path in sorted((SRC / "dnmf").glob("*.py")):
+        if path.stem == "core":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            hit = False
+            if isinstance(node, ast.Import):
+                hit = any(alias.name == "numbers" for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                hit = node.module == "numbers"
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                hit = re.search(r"(^|_)int($|_)", node.name) is not None
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                hit = bool({"int", "bool"} & _names_read(node.args[-1]))
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                hit = bool({"Integral", "integer", "is_integer"} & _names_read(node))
+            if hit:
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node).splitlines()[0]}")
+    assert found == []

@@ -156,6 +156,21 @@ def test_type_confused_model_fields_exit_2(tmp_path, capsys, field, value):
     assert not any(p.exists() for p in outs)
 
 
+def test_train_q_outside_the_anneal_range_is_rejected(tmp_path):
+    # train_q is the annealing exponent the model was trained with: (0, 1].
+    model = _small_model(np.random.default_rng(4))
+    path = tmp_path / "m.json"
+    with pytest.raises(ValueError, match=re.escape("train_q 2.0 must lie in (0, 1]")):
+        save_model(model, str(path), train_q=2.0)
+    assert not path.exists()
+    save_model(model, str(path), train_q=0.15)
+    doc = json.loads(path.read_text())
+    for q in (0, 2.0, -0.5):
+        path.write_text(json.dumps(dict(doc, train_q=q)))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: train_q {q!r} must lie in")):
+            load_model(str(path))
+
+
 def test_load_model_renormalizes_small_drift(tmp_path):
     rng = np.random.default_rng(5)
     model = _small_model(rng)
@@ -470,11 +485,14 @@ def test_experiment_command_tracking_csv(tmp_path):
     assert len(lines) == 3  # header + static + dnmf
 
 
-def test_experiment_command_rejects_nonpositive_runs(tmp_path):
+def test_experiment_command_rejects_nonpositive_runs(tmp_path, capsys):
+    # The scenario is built with the parsed --runs, so its own check reports it.
     out = tmp_path / "exp.csv"
     for runs in ("0", "-3"):
         args = ["experiment", "--scenario", "tracking", "--runs", runs]
         assert main(args + ["--snr", "5", "--csv", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: runs {runs} must be an integer of at least 1"]
         assert not out.exists()
 
 
@@ -568,7 +586,7 @@ def _model_command(tmp_path, command, rng, k=9, n_samples=100, rate=8000):
 def test_zero_hop_is_a_usage_error(tmp_path, capsys, command):
     args, _ = _model_command(tmp_path, command, np.random.default_rng(10))  # fft size 16
     assert main(args + ["--hop", "0"]) == 2
-    assert "hop must be positive" in capsys.readouterr().err
+    assert "hop 0 must be an integer of at least 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["separate", "denoise"])
@@ -607,6 +625,21 @@ def test_train_hop_above_fft_is_one_error_line(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:") and "--hop" in err[0]
     assert not out.exists()
     assert main(args + ["--hop", "128", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("fft, why", [("0", "fft_size 0 must be an integer of at least 2"),
+                                      ("-4", "fft_size -4 must be an integer of at least 2"),
+                                      ("100", "fft_size 100 must be a power of two")],
+                         ids=["zero", "negative", "not-a-power-of-two"])
+def test_train_bad_fft_is_reported_before_the_hop(tmp_path, capsys, fft, why):
+    # The default --hop 256 lies above each of these sizes; the FFT size is
+    # the error, not the hop.
+    wav = str(tmp_path / "clip.wav")
+    write_wav(wav, 0.1 * np.random.default_rng(13).standard_normal(600), 8000)
+    out = tmp_path / "m.json"
+    assert main(["train", wav, "--rank", "1", "--fft", fft, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {why}"]
+    assert not out.exists()
 
 
 def test_separate_pipeline_peak_memory(tmp_path):

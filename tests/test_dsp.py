@@ -255,7 +255,7 @@ def test_gap_free_hop_limit(fft_size, largest):
         with pytest.raises(ValueError, match="gaps"):
             _check_hop(fft_size, hop)
     for hop in (0, -1):
-        with pytest.raises(ValueError, match="hop must be positive"):
+        with pytest.raises(ValueError, match=f"hop {hop} must be an integer of at least 1"):
             _check_hop(fft_size, hop)
 
 

@@ -1,13 +1,15 @@
+import re
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dnmf import statespace
 from dnmf.core import EPS, is_divergence, normalize_columns
+from dnmf.dsp import _check_hop, istft, stft
 from dnmf.experiments import TrackingScenario, run_tracking
 from dnmf.statespace import (
     _INIT_FLOOR,
@@ -1185,4 +1187,77 @@ def test_public_boundary_rejects_bad_arrays_with_value_error(data):
         a = _RESHAPES[how](a)
     with pytest.raises(ValueError):
         call(a)
+    assert np.array_equal(state.history, history)
+
+
+# public boundary for scalars: every size, count, seed, hop and exponent is
+# checked where it enters, by the one integer check and the one exponent check
+
+_SCALARS = [2.5, 1.5, 2.0, True, False, -1, 0, 1, 2, np.int64(2), np.int64(0), np.nan,
+            np.inf, 0.5, np.float64(0.5), 1.0, "0.5", "1", None]
+
+
+def _scalar_accepted(value, minimum) -> bool:
+    """Reference rule: an integer of at least ``minimum``, or for ``minimum``
+    None an exponent in (0, 1]; ``bool`` and ``str`` are neither."""
+    if minimum is None:
+        return type(value) in (int, float, np.int64, np.float64) and 0 < value <= 1
+    return type(value) in (int, np.int64) and value >= minimum
+
+
+def _scalar_calls():
+    """Entry point: (its call with the scalar, the scalar's name, its minimum)."""
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, 2.0, size=(4, 5))
+    model = DnmfModel(basis=normalize_columns(rng.uniform(0.05, 1.0, size=(4, 2))),
+                      lags=[rng.uniform(0.0, 1.0, size=(2, 2))])
+    signal = rng.standard_normal(64)
+    frames = stft(signal, 16, 4)
+    cfg = TrainConfig(iters=2, prior_start=1)
+    return model, {
+        "TrainConfig iters": (lambda v: TrainConfig(iters=v, prior_start=1), "iters", 1),
+        "TrainConfig prior_start": (lambda v: TrainConfig(iters=2, prior_start=v),
+                                    "prior_start", 0),
+        "TrainConfig seed": (lambda v: TrainConfig(seed=v), "seed", 0),
+        "TrainConfig anneal": (lambda v: TrainConfig(anneal=v), "anneal", None),
+        "train rank": (lambda v: train(x, v, 1, cfg), "rank", 1),
+        "train order": (lambda v: train(x, 2, v, cfg), "order", 0),
+        "FilterState anneal": (lambda v: FilterState(model, anneal=v), "anneal", None),
+        "FilterState inner_iters": (lambda v: FilterState(model, inner_iters=v),
+                                    "inner_iters", 1),
+        "TrackingScenario runs": (lambda v: TrackingScenario(runs=v), "runs", 1),
+        "stft hop": (lambda v: stft(signal, 16, v), "hop", 1),
+        "istft hop": (lambda v: istft(frames, v), "hop", 1),
+        "_check_hop": (lambda v: _check_hop(16, v), "hop", 1),
+    }
+
+
+@settings(max_examples=250, deadline=None)
+@given(entry=st.sampled_from(sorted(_scalar_calls()[1])), value=st.sampled_from(_SCALARS))
+@example(entry="TrainConfig iters", value=2.5)
+@example(entry="TrainConfig iters", value=True)
+@example(entry="TrainConfig seed", value=1.5)
+@example(entry="TrainConfig anneal", value="0.5")
+@example(entry="train rank", value=1.5)
+@example(entry="train rank", value=np.int64(2))
+@example(entry="train order", value=1.5)
+@example(entry="FilterState inner_iters", value=True)
+@example(entry="FilterState inner_iters", value=np.int64(2))
+@example(entry="stft hop", value=2.5)
+def test_public_boundary_rejects_bad_scalars_with_value_error(entry, value):
+    """A size, count, seed or hop that is not an integer of its minimum (a
+    ``bool``, a float such as ``2.0``, NaN or a string included), or an
+    exponent outside (0, 1], raises ``ValueError`` naming the value and
+    leaves a filter state's history as it was; NumPy integers and floats in
+    range are accepted like Python ones."""
+    model, calls = _scalar_calls()
+    state = FilterState(model)
+    filter_stream(state, np.ones((4, 3)))
+    history = state.history.copy()
+    call, name, minimum = calls[entry]
+    if _scalar_accepted(value, minimum):
+        call(value)
+        return
+    with pytest.raises(ValueError, match=re.escape(f"{name} {value!r} ")):
+        call(value)
     assert np.array_equal(state.history, history)
