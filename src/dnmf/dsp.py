@@ -214,9 +214,9 @@ def mix_at_snr(signal: Array, noise: Array, target_snr_db: float) -> Array:
     Parameters
     ----------
     signal : np.ndarray
-        Reference signal with positive energy.
+        Finite reference signal with positive energy.
     noise : np.ndarray
-        Interference with positive energy, same shape.
+        Finite interference with positive energy, same shape.
     target_snr_db : float
         Desired ``output_snr(signal, mixture)`` in dB; finite, and within
         about +-3000 dB, so that the noise scale is a positive float64.
@@ -233,12 +233,12 @@ def mix_at_snr(signal: Array, noise: Array, target_snr_db: float) -> Array:
         raise ValueError("signal and noise must share one shape")
     if not np.isfinite(target_snr_db):
         raise ValueError("target SNR must be finite")
-    es = float(np.sum(signal * signal))
-    en = float(np.sum(noise * noise))
-    if es <= 0.0:
-        raise ValueError("signal has zero energy")
-    if en <= 0.0:
-        raise ValueError("noise has zero energy")
+    es, en = float(np.sum(signal * signal)), float(np.sum(noise * noise))
+    for name, a, energy in (("signal", signal, es), ("noise", noise, en)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite")
+        if energy <= 0.0:
+            raise ValueError(f"{name} has zero energy")
     with np.errstate(all="ignore"):  # float64: 0 or inf, no Python OverflowError
         scale = np.sqrt(es / (en * np.float64(10.0) ** (target_snr_db / 10.0)))
     if not (np.isfinite(scale) and scale > 0.0):

@@ -166,31 +166,32 @@ _BETA_RESOLUTION = 8.0 * np.finfo(np.float64).eps
 _sum = np.add.reduce
 
 
-def solve_beta(c: Array, eta: Array) -> float:
-    """Find the multiplier normalizing the coefficient update to the simplex.
+def solve_beta(c: Array, eta: Array, out: Array) -> float:
+    """Maximize ``sum_i c[i]*log(h[i]) - h[i]/eta[i]`` over the simplex.
 
-    Solves ``g(beta) = sum_i c[i] / (beta + 1/eta[i]) = 1`` for the unique
-    root right of the pole at ``-min(1/eta[i])``, where ``g`` falls from +inf
-    to 0; a zero count's ``1/eta[i]`` is taken as +inf, so its term is 0.
+    Writes the maximizer ``h[i] = c[i] / (1/eta[i] + beta)``, normalized,
+    into ``out`` (not ``c``) and returns ``beta``, the root of ``g(beta) =
+    sum_i c[i] / (beta + 1/eta[i]) = 1`` right of the pole at
+    ``-min(1/eta[i])``, where ``g`` falls from +inf to 0; a zero count's
+    ``1/eta[i]`` is taken as +inf, so its term is 0.
 
-    When ``eta`` is uniform, ``g(beta) = sum(c) / (beta + 1/eta[0])`` and the
-    root is returned in closed form, ``sum(c) - 1/eta[0]``, before any
-    iteration.  Otherwise the root lies in the closed-form bracket
-    ``[pole + c_m, pole + sum(c)]``, with ``c_m`` the count at the smallest
-    ``1/eta``; no iterate sits on the pole, even where ``pole + c_m`` rounds
-    to it.  Newton's method runs on the equivalent ``1/g(beta) = 1``, which is
-    exactly linear in ``beta`` under a uniform prior and nearly so when one
-    term dominates, so it needs fewer steps than Newton on ``g``
-    (Bunch, Nielsen & Sorensen, Numer. Math. 1978).  It starts at
-    ``sum(c) - 1``, clamped to the bracket, and falls back to bisection
-    whenever a step would leave the shrinking bracket.  It stops once
-    ``|g(beta) - 1| <= 1e-12`` or once the bracket is no wider than a few
-    ulps of ``beta``.
+    Under a uniform ``eta`` the root is ``sum(c) - 1/eta[0]`` in closed form.
+    Otherwise it lies in the closed-form bracket ``[pole + c_m, pole +
+    sum(c)]``, with ``c_m`` the count at the smallest ``1/eta``; no iterate
+    sits on the pole, even where ``pole + c_m`` rounds to it.  Newton's
+    method runs on the equivalent ``1/g(beta) = 1``, which is exactly linear
+    in ``beta`` under a uniform prior and nearly so when one term dominates,
+    so it needs fewer steps than Newton on ``g`` (Bunch, Nielsen & Sorensen,
+    Numer. Math. 1978).  It starts at ``sum(c) - 1``, clamped to the bracket,
+    and falls back to bisection whenever a step would leave the shrinking
+    bracket.  It stops once ``|g(beta) - 1| <= 1e-12``, and the terms of that
+    evaluation are the update, or once the bracket is no wider than a few
+    ulps of ``beta``.  Terms whose denominator is at most that resolution
+    share by count the deficit the others leave of 1 (after Bunch et al.).
 
     Precondition, checked by the public entry points and not here: ``c`` and
     ``eta`` are 1-D float64 arrays of equal length, ``c`` finite and
     nonnegative with a positive total, ``eta`` finite and strictly positive.
-    The root ``beta`` is returned; ``beta + 1/eta[i] > 0`` wherever ``c[i] > 0``.
     """
     total = float(_sum(c, 0))
     # The largest eta has the smallest 1/eta: on full support it is the pole.
@@ -198,78 +199,70 @@ def solve_beta(c: Array, eta: Array) -> float:
     # for a fraction of the dispatch.
     k = eta.argmax()
     if eta[eta.argmin()] == eta[k]:
-        return total - 1.0 / float(eta[0])
-
-    inv = 1.0 / eta
-    if c[c.argmin()] == 0.0:
-        inv[c == 0.0] = math.inf
-        k = inv.argmin()
-    pole = -float(inv[k])
-
-    # Closed-form bracket.  The term with the smallest 1/eta alone gives
-    # g(lo) >= c_m / (lo - pole) = 1; every denominator at hi is at least
-    # hi - pole = sum(c), so g(hi) <= 1.
-    lo = pole + float(c[k])
-    hi = pole + total
-    # Where c_m is below half an ulp of the pole, lo rounds onto it, and so
-    # may a start clamped to lo or a final midpoint; a denominator is zero
-    # there, so both are held to the first float right of the pole.
-    right = math.nextafter(pole, math.inf)
-
-    # Every iterate stays inside [lo, hi], so it replaces one end outright.
-    beta = max(min(max(total - 1.0, lo), hi), right)
-    for _ in range(_BETA_MAX_ITER):
-        d = inv + beta
-        q = c / d
-        val = float(_sum(q, 0))
-        if abs(val - 1.0) <= _BETA_TOL:
+        # One scalar denominator: the bits of a vector of equal entries.
+        beta = total - 1.0 / float(eta[0])
+        d = 1.0 / float(eta[0]) + beta
+        if d > _BETA_RESOLUTION * max(1.0, abs(beta)):
+            np.divide(c, d, out=out)
+            out /= _sum(out, 0)
             return beta
-        if val > 1.0:
-            lo = beta
-        else:
-            hi = beta
-        if hi - lo <= _BETA_RESOLUTION * max(1.0, abs(lo), abs(hi)):
-            # When the root sits almost on the pole, g moves by more than
-            # the tolerance across one float64 ulp of beta, so the residual
-            # test can never pass; the bracket itself is then the sharper
-            # certificate.
-            return max(0.5 * (lo + hi), right)
-        # Newton on 1/g = 1 is the step on g, (g - 1) / -g', times g.
-        cand = beta + val * (val - 1.0) / float(_sum(q / d, 0))
-        if not lo < cand < hi:
-            cand = 0.5 * (lo + hi)
-        beta = cand
-    raise ConvergenceError(
-        f"normalizer did not reach |g(beta)-1| <= {_BETA_TOL:g} "
-        f"in {_BETA_MAX_ITER} steps"
-    )
-
-
-def _simplex_update(c: Array, eta: Array, out: Array | None = None) -> Array:
-    """Maximize ``sum_i c[i]*log(h[i]) - h[i]/eta[i]`` over the simplex.
-
-    The terms are ``c[i] / (1/eta[i] + beta)`` at ``solve_beta``'s root.  Terms
-    whose denominator is at most the root's bracket resolution share by count
-    the deficit the others leave of 1 (after Bunch, Nielsen & Sorensen, 1978).
-    The result is written into ``out`` when given; ``out`` must not be ``c``.
-    """
-    beta = solve_beta(c, eta)
-    out = np.divide(1.0, eta, out=out)
-    out += beta
-    # That close to 0 a denominator is mostly rounding error (only a zero
-    # count's can be <= 0), but the other terms are accurate and sum to 1 at
-    # the root.  +inf zeroes the near terms; zero counts get +0.0 shares.
-    tol = _BETA_RESOLUTION * max(1.0, abs(beta))
-    if out[out.argmin()] > tol:
-        np.divide(c, out, out=out)
     else:
-        near = out <= tol
-        out[near] = math.inf
-        np.divide(c, out, out=out)
-        cn = c[near]
-        out[near] = cn / (_sum(cn, 0) or 1.0) * max(1.0 - _sum(out, 0), 0.0)
+        inv = 1.0 / eta
+        if c[c.argmin()] == 0.0:
+            inv[c == 0.0] = math.inf
+            k = inv.argmin()
+        pole = -float(inv[k])
+        # Closed-form bracket.  The term with the smallest 1/eta alone gives
+        # g(lo) >= c_m / (lo - pole) = 1; every denominator at hi is at least
+        # hi - pole = sum(c), so g(hi) <= 1.
+        lo = pole + float(c[k])
+        hi = pole + total
+        # Where c_m is below half an ulp of the pole, lo rounds onto it, and
+        # so may a start clamped to lo or a final midpoint; a denominator is
+        # zero there, so both are held to the first float right of the pole.
+        right = math.nextafter(pole, math.inf)
+        # Every iterate stays inside [lo, hi], so it replaces one end outright.
+        beta = max(min(max(total - 1.0, lo), hi), right)
+        for _ in range(_BETA_MAX_ITER):
+            d = inv + beta
+            q = c / d
+            val = float(_sum(q, 0))
+            if abs(val - 1.0) <= _BETA_TOL:
+                if d[d.argmin()] > _BETA_RESOLUTION * max(1.0, abs(beta)):
+                    np.divide(q, val, out=out)
+                    return beta
+                break
+            if val > 1.0:
+                lo = beta
+            else:
+                hi = beta
+            if hi - lo <= _BETA_RESOLUTION * max(1.0, abs(lo), abs(hi)):
+                # Where the root sits almost on the pole, g moves by more than
+                # the tolerance across one ulp of beta, so the residual test
+                # can never pass; the bracket is then the sharper certificate.
+                beta = max(0.5 * (lo + hi), right)
+                break
+            # Newton on 1/g = 1 is the step on g, (g - 1) / -g', times g.
+            cand = beta + val * (val - 1.0) / float(_sum(q / d, 0))
+            beta = cand if lo < cand < hi else 0.5 * (lo + hi)
+        else:
+            raise ConvergenceError(f"normalizer did not reach |g(beta)-1| <= {_BETA_TOL:g} "
+                                   f"in {_BETA_MAX_ITER} steps")
+
+    # A bracket exit, or a denominator so close to 0 that it is mostly
+    # rounding error; the other terms are accurate and sum to 1 at the root.
+    # Rebuilt from 1/eta, the denominators put zero counts on or left of the
+    # root in the near set; +inf zeroes the near terms, zero counts get +0.0.
+    tol = _BETA_RESOLUTION * max(1.0, abs(beta))
+    np.divide(1.0, eta, out=out)
+    out += beta
+    near = out <= tol
+    out[near] = math.inf
+    np.divide(c, out, out=out)
+    cn = c[near]
+    out[near] = cn / (_sum(cn, 0) or 1.0) * max(1.0 - _sum(out, 0), 0.0)
     out /= _sum(out, 0)
-    return out
+    return beta
 
 
 def build_lag_matrix(h: Array, order: int) -> Array:
@@ -396,7 +389,7 @@ def train(
                     pred = stacked.dot(flat[t * rank : (t + order) * rank])
                     np.maximum(pred, EPS, out=pred)
                     pred **= anneal
-                    _simplex_update(counts_t[t], pred, out=hist[order + t])
+                    solve_beta(counts_t[t], pred, hist[order + t])
                 h = np.ascontiguousarray(hist[order:].T)
             if order > 0 and it >= cfg.prior_start:
                 stacked = estimate_nvar(h, stacked, build_lag_matrix(h, order))
@@ -427,8 +420,8 @@ def filter_frame(state: FilterState, x: Array) -> Array:
     early ones stay close to the prediction; with the default single
     refinement the prior mean is exactly ``b ** anneal``.  One loop runs the
     ``inner_iters`` refinements: an E-step, whose responsibilities enter only
-    through their weighted column sums, then the simplex update, which
-    without dynamics (prior mean ones) is ``solve_beta``'s closed form.
+    through their weighted column sums, then :func:`solve_beta`'s simplex
+    update (prior mean ones without dynamics, the closed-form root).
 
     Precondition, checked by :func:`filter_stream` and not here: ``x`` is a
     1-D float64 frame of ``model.n_features`` finite, nonnegative entries.
@@ -445,7 +438,7 @@ def filter_frame(state: FilterState, x: Array) -> Array:
         h = np.maximum(pred, _INIT_FLOOR, out=pred)
         h /= _sum(h, 0)
     else:
-        ones = np.ones(model.n_components)
+        base = np.ones(model.n_components)
         h = np.full(model.n_components, 1.0 / model.n_components)
     for r in range(1, state.inner_iters + 1):
         hs = np.maximum(h, EPS)
@@ -456,13 +449,8 @@ def filter_frame(state: FilterState, x: Array) -> Array:
         np.divide(xf, ratio, out=ratio)
         c = ratio.dot(w)
         c *= hs
-        if order >= 1:
-            h = _simplex_update(c, base ** (anneal / r), out=hs)
-        else:
-            # Every 1/eta + beta is the scalar 1 + beta: dividing by it gives
-            # the same bits as dividing by a vector of equal entries.
-            h = np.divide(c, 1.0 + solve_beta(c, ones), out=hs)
-            h /= _sum(h, 0)
+        solve_beta(c, base ** (anneal / r) if order else base, hs)
+        h = hs
     if order >= 1:
         state.history[:-1] = state.history[1:]
         state.history[-1] = h

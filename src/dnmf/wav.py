@@ -48,17 +48,19 @@ def read_wav(path: str) -> tuple[Array, int]:
 
 
 def write_wav(path: str, samples: Array, rate: int) -> None:
-    """Write float samples (clipped to [-1, 1]) as mono 16-bit PCM.
+    """Write float samples (clipped to [-1, 1], +-inf too) as mono 16-bit PCM.
 
     The scale matches :func:`read_wav` (full scale = 32768), so a write/read
     round trip moves every in-range sample by at most half a quantization
-    step.
+    step.  A NaN sample raises ``ValueError`` naming ``path``.
     """
     if rate not in SUPPORTED_RATES:
         raise ValueError(f"sample rate {rate} not in {SUPPORTED_RATES}")
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1:
         raise ValueError("samples must be 1-D (mono)")
+    if np.isnan(samples).any():
+        raise ValueError(f"{path}: samples hold NaN, which has no PCM value")
     scaled = np.multiply(samples, 32768.0)
     np.round(scaled, out=scaled)
     np.clip(scaled, -32768, 32767, out=scaled)

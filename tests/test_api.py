@@ -201,3 +201,31 @@ def test_scalar_checks_live_in_core_only():
             if hit:
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node).splitlines()[0]}")
     assert found == []
+
+
+def test_solve_beta_is_the_only_simplex_update():
+    """``solve_beta`` writes the simplex update at every call site.
+
+    The test fails if ``dnmf.statespace`` binds ``_simplex_update`` again (a
+    second update path that recomputes the denominators from the root), or
+    if any ``src/dnmf`` call of ``solve_beta`` passes no ``out``, as a third
+    argument or by keyword, and so takes the root without its update.
+    """
+    found, calls = [], 0
+    for path in sorted((SRC / "dnmf").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and "solve_beta" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                calls += 1
+                hit = len(node.args) < 3 and all(k.arg != "out" for k in node.keywords)
+            elif path.stem == "statespace":
+                name = getattr(node, "name", None) or getattr(node, "id", None)
+                stored = isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                hit = name == "_simplex_update" and (stored or isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+            else:
+                hit = False
+            if hit:
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node).splitlines()[0]}")
+    assert calls >= 2 and found == []

@@ -241,6 +241,17 @@ def test_mix_at_snr_validation():
             mix_at_snr(sig, sig, target)
 
 
+def test_mix_at_snr_names_a_non_finite_argument():
+    sig = np.ones(10)
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = sig.copy()
+        broken[3] = bad
+        with pytest.raises(ValueError, match="^signal must be finite$"):
+            mix_at_snr(broken, sig, 0.0)
+        with pytest.raises(ValueError, match="^noise must be finite$"):
+            mix_at_snr(sig, broken, 0.0)
+
+
 def test_mix_at_snr_extremes_inside_float64_still_mix():
     sig = np.sin(np.linspace(0.0, 40.0, 200))
     noise = np.random.default_rng(6).standard_normal(200)

@@ -1,24 +1,32 @@
 """The lean hot path against frozen copies of the kernels it replaced.
 
-``solve_beta``, ``_simplex_update``, ``filter_frame`` (which now holds the
-E-step) and the dynamic loop of ``train`` were rewritten to make fewer numpy
-calls per refinement: extremes read at ``argmin``/``argmax``, ``ndarray.dot``
-for ``@``, a scalar reciprocal for the uniform prior, in-place floors and
-divides.  None of that may move a bit.  The references below are the
-kernels as they were before, kept verbatim (``@``, min reductions,
-``np.add(1.0 / eta, beta)``), and every comparison is ``np.array_equal``.
-``_simplex_update`` departs from its frozen copy only where a denominator
-``1/eta[i] + beta`` is within ``solve_beta``'s bracket resolution of 0 (such
-terms share by count what the others leave of 1), which these inputs do not
-reach.  The frozen normalizer and frame filter still check their inputs;
-the kernels no longer do (``filter_stream``, ``train``, ``map_objective``
-and ``lag_fit_divergence`` check them once), so only valid inputs are
-compared.
+``solve_beta``, ``filter_frame`` (which now holds the E-step and the one
+simplex update call at every order) and the dynamic loop of ``train`` were
+rewritten to make fewer numpy calls per refinement: extremes read at
+``argmin``/``argmax``, ``ndarray.dot`` for ``@``, a scalar reciprocal for the
+uniform prior, in-place floors and divides, and the update written from the
+normalizer's last Newton evaluation instead of a second pass.  None of that
+may move a bit.  The references below are the kernels as they were before,
+kept verbatim, and every comparison is ``np.array_equal``.
+
+Two generations are frozen.  The first (``_frozen_*``: ``@``, min
+reductions, ``np.add(1.0 / eta, beta)``) departs from ``solve_beta``'s
+update only where a denominator ``1/eta[i] + beta`` is within the bracket
+resolution of 0 (such terms share by count what the others leave of 1),
+which the filter and training inputs here do not reach; it still checks its
+inputs, while the kernels no longer do (``filter_stream``, ``train``,
+``map_objective`` and ``lag_fit_divergence`` check them once), so only valid
+inputs are compared.  The second (``_two_pass_*``) is the normalizer that
+returned only the root and the update that recomputed every denominator
+from it; it has the near-pole rule, so it is compared on extreme inputs too:
+uniform priors, ties, zero counts and pole counts down to 1e-300.
 """
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnmf.core import EPS, nonneg_matrix, normalize_columns
 from dnmf.statespace import (
@@ -31,6 +39,7 @@ from dnmf.statespace import (
     build_lag_matrix,
     estimate_nvar,
     filter_stream,
+    solve_beta,
     train,
 )
 
@@ -160,6 +169,106 @@ def _frozen_train(x, rank, order, cfg):
             stacked = estimate_nvar(h, stacked, build_lag_matrix(h, order))
     lags = np.hsplit(stacked, order)[::-1] if order else []
     return w, h, lags
+
+
+_BETA_TOL = 1e-12
+_BETA_MAX_ITER = 200
+_BETA_RESOLUTION = 8.0 * np.finfo(np.float64).eps
+
+
+def _two_pass_solve_beta(c, eta):
+    total = float(_sum(c, 0))
+    k = eta.argmax()
+    if eta[eta.argmin()] == eta[k]:
+        return total - 1.0 / float(eta[0])
+
+    inv = 1.0 / eta
+    if c[c.argmin()] == 0.0:
+        inv[c == 0.0] = math.inf
+        k = inv.argmin()
+    pole = -float(inv[k])
+    lo = pole + float(c[k])
+    hi = pole + total
+    right = math.nextafter(pole, math.inf)
+
+    beta = max(min(max(total - 1.0, lo), hi), right)
+    for _ in range(_BETA_MAX_ITER):
+        d = inv + beta
+        q = c / d
+        val = float(_sum(q, 0))
+        if abs(val - 1.0) <= _BETA_TOL:
+            return beta
+        if val > 1.0:
+            lo = beta
+        else:
+            hi = beta
+        if hi - lo <= _BETA_RESOLUTION * max(1.0, abs(lo), abs(hi)):
+            return max(0.5 * (lo + hi), right)
+        cand = beta + val * (val - 1.0) / float(_sum(q / d, 0))
+        if not lo < cand < hi:
+            cand = 0.5 * (lo + hi)
+        beta = cand
+    raise ConvergenceError("two-pass normalizer did not converge")
+
+
+def _two_pass_simplex_update(c, eta, out=None):
+    return _update_at_root(c, eta, _two_pass_solve_beta(c, eta), out)
+
+
+def _update_at_root(c, eta, beta, out=None):
+    """The second pass: every denominator ``1/eta[i] + beta`` recomputed from
+    the root, with the near-pole rule, then the normalized terms."""
+    out = np.divide(1.0, eta, out=out)
+    out += beta
+    tol = _BETA_RESOLUTION * max(1.0, abs(beta))
+    if out[out.argmin()] > tol:
+        np.divide(c, out, out=out)
+    else:
+        near = out <= tol
+        out[near] = math.inf
+        np.divide(c, out, out=out)
+        cn = c[near]
+        out[near] = cn / (_sum(cn, 0) or 1.0) * max(1.0 - _sum(out, 0), 0.0)
+    out /= _sum(out, 0)
+    return out
+
+
+def _log_floats(lo, hi):
+    """Floats ``10**e`` with exponent ``e`` drawn from ``[lo, hi]``."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def _extreme_normalizer_inputs(draw):
+    """Prior means in 1e-6..1e6 with ties and uniform cases; counts in
+    1e-30..1e3 with zeros, those at the largest eta (the pole) down to 1e-300."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["free", "tie", "uniform"]))
+    if kind == "uniform":
+        eta = np.full(n, draw(_log_floats(-6, 6)))
+    else:
+        eta = np.array(draw(st.lists(_log_floats(-6, 6), min_size=n, max_size=n)))
+    if kind == "tie":
+        eta[draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))] = eta.max()
+    pole = eta == eta.max()
+    c = np.array([draw(st.one_of(st.just(0.0), _log_floats(-300 if p else -30, 3))) for p in pole])
+    if c.sum() <= 0.0:
+        c[draw(st.integers(0, n - 1))] = draw(_log_floats(-300, 3))
+    return c, eta
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_extreme_normalizer_inputs())
+def test_solve_beta_update_matches_two_pass_kernels(inputs):
+    c, eta = inputs
+    out = np.empty_like(c)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        beta = solve_beta(c, eta, out)
+        want = _two_pass_simplex_update(c, eta)
+    assert beta == _two_pass_solve_beta(c, eta)
+    assert np.array_equal(out, want)
+    # Zero counts keep +0.0, not -0.0.
+    assert np.array_equal(np.signbit(out), np.signbit(want))
 
 
 def _model(rng, k, i, order):

@@ -14,7 +14,6 @@ from dnmf.experiments import TrackingScenario, run_tracking
 from dnmf.statespace import (
     _INIT_FLOOR,
     _predict_all,
-    _simplex_update,
     _stack_lags,
     DnmfModel,
     FilterState,
@@ -28,6 +27,14 @@ from dnmf.statespace import (
     solve_beta,
     train,
 )
+from test_frozen_reference import _extreme_normalizer_inputs, _update_at_root
+
+
+def _solve(c, eta):
+    """``solve_beta``'s root and the simplex update it writes, through the
+    module attribute, so that a test patching the normalizer patches this."""
+    out = np.empty_like(c)
+    return statespace.solve_beta(c, eta, out), out
 
 
 def _bisect_beta(c, eta, steps=200):
@@ -85,13 +92,13 @@ def test_solve_beta_closed_form_quadratic():
     # c = [1/2, 1/2], eta = [1, 2]:
     #   1/(2(b+1)) + 1/(2(b+1/2)) = 1  =>  b^2 + b/2 - 1/4 = 0
     # whose positive root is (sqrt(5) - 1) / 4.
-    beta = solve_beta(np.array([0.5, 0.5]), np.array([1.0, 2.0]))
+    beta, _ = _solve(np.array([0.5, 0.5]), np.array([1.0, 2.0]))
     assert beta == pytest.approx((np.sqrt(5.0) - 1.0) / 4.0, abs=1e-12)
 
 
 def test_solve_beta_uniform_eta_is_total_minus_one():
     c = np.array([1.0, 2.0, 3.0])
-    beta = solve_beta(c, np.ones(3))
+    beta, _ = _solve(c, np.ones(3))
     assert beta == pytest.approx(5.0, abs=1e-10)
 
 
@@ -105,7 +112,7 @@ def test_solve_beta_matches_bisection():
             c[rng.integers(n)] = 0.5
         c *= rng.uniform(0.05, 20.0)
         eta = rng.uniform(1e-3, 1e3, size=n)
-        beta = solve_beta(c, eta)
+        beta, _ = _solve(c, eta)
         assert beta == pytest.approx(_bisect_beta(c, eta), abs=1e-8)
         h = c / (beta + 1.0 / eta)
         assert abs(h.sum() - 1.0) < 1e-8
@@ -140,7 +147,7 @@ def _normalizer_inputs(draw):
 @given(_normalizer_inputs())
 def test_solve_beta_bracket_and_oracle_property(inputs):
     c, eta = inputs
-    beta = solve_beta(c, eta)
+    beta, h = _solve(c, eta)
     support = c > 0.0
     inv = 1.0 / eta[support]
     pole = float(-inv.min())
@@ -153,7 +160,6 @@ def test_solve_beta_bracket_and_oracle_property(inputs):
     assert abs(beta - _bisect_beta(c, eta)) <= 1e-8 * max(abs(beta), scale)
     if np.all(eta == eta[0]):
         assert beta == total - 1.0 / eta[0]
-    h = _simplex_update(c, eta)
     assert np.all(h >= 0.0)
     assert abs(h.sum() - 1.0) <= 1e-12
     # h[i] = c[i] / (1/eta[i] + beta): entries with equal prior means get
@@ -164,7 +170,7 @@ def test_solve_beta_bracket_and_oracle_property(inputs):
         np.testing.assert_allclose(ratio, ratio[0], rtol=1e-9)
 
 
-def _solve_beta_newton(c, eta):
+def _newton_root(c, eta):
     """Reference normalizer: Newton on ``g(beta) = 1``, no closed-form uniform path."""
     c = np.asarray(c, dtype=np.float64)
     eta = np.asarray(eta, dtype=np.float64)
@@ -199,11 +205,19 @@ def _solve_beta_newton(c, eta):
     raise AssertionError("reference normalizer did not converge")
 
 
+def _solve_beta_newton(c, eta, out):
+    """``solve_beta`` rebuilt from references: the Newton root, then the frozen
+    second pass (``1/eta + beta`` recomputed, near-pole rule) into ``out``."""
+    beta = _newton_root(c, eta)
+    _update_at_root(c, eta, beta, out)
+    return beta
+
+
 def _assert_matches_newton_reference(c, eta):
     # Newton on 1/g takes other steps than the reference's Newton on g, so
     # the roots agree to the tolerance, and each carries the solver's own
     # certificate: a residual within _BETA_TOL, or a bracket of a few ulps.
-    beta, want = solve_beta(c, eta), _solve_beta_newton(c, eta)
+    beta, want = _solve(c, eta)[0], _newton_root(c, eta)
     assert abs(beta - want) <= 1e-11 * abs(want)
     cs, inv = c[c > 0.0], 1.0 / eta[c > 0.0]
 
@@ -263,8 +277,7 @@ def test_solve_beta_count_below_an_ulp_of_the_pole_stays_off_the_pole():
     # pole + c_m rounds to the pole itself, where a denominator is zero.
     c, eta = np.array([1e-30, 0.5]), np.array([1e10, 1.0])
     with np.errstate(all="raise"):
-        beta = solve_beta(c, eta)
-        h = _simplex_update(c, eta)
+        beta, h = _solve(c, eta)
     pole = -(1.0 / 1e10)
     # The root lies within one ulp of the pole: the first float right of it.
     assert beta == np.nextafter(pole, np.inf)
@@ -273,7 +286,7 @@ def test_solve_beta_count_below_an_ulp_of_the_pole_stays_off_the_pole():
 
 
 # ---------------------------------------------------------------------------
-# single-frame EM update: the E-step's counts, then _simplex_update
+# single-frame EM update: the E-step's counts, then solve_beta's update
 
 
 def _counts(xf, w, h):
@@ -288,8 +301,8 @@ def test_simplex_update_zero_count_on_the_root_is_zero():
     # 1/eta + beta is 0, and 0/0 must not make the whole update NaN.
     c = np.array([0.0, 0.0, 0.0, 1.0 / 3.0])
     eta = np.array([1.0, 0.5, 1.0 / 3.0, 0.3])
-    assert solve_beta(c, eta) == -3.0
-    h = _simplex_update(c, eta)
+    beta, h = _solve(c, eta)
+    assert beta == -3.0
     assert np.array_equal(h, [0.0, 0.0, 0.0, 1.0])
     assert not np.any(np.signbit(h))
 
@@ -303,7 +316,7 @@ def test_update_state_uniform_prior_is_normalized_counts():
         xf = np.maximum(x, EPS)
         wh = np.maximum(model.basis @ coeffs, EPS)
         c = coeffs * (model.basis.T @ (xf / wh))
-        got = _simplex_update(c, np.ones(4))
+        got = _solve(c, np.ones(4))[1]
         np.testing.assert_allclose(got, c / c.sum(), atol=1e-12)
 
 
@@ -317,7 +330,7 @@ def test_update_state_maximizes_frame_objective():
     xf = np.maximum(x, EPS)
     wh = np.maximum(model.basis @ coeffs, EPS)
     c = coeffs * (model.basis.T @ (xf / wh))
-    got = _simplex_update(c, eta)
+    got = _solve(c, eta)[1]
 
     def objective(h):
         return float(np.sum(c * np.log(h) - h / eta))
@@ -329,7 +342,7 @@ def test_update_state_maximizes_frame_objective():
 
 
 def _exact_simplex_update(c, eta, steps=400):
-    """``_simplex_update`` in exact rational arithmetic: the root of
+    """The simplex update in exact rational arithmetic: the root of
     ``sum_i c[i] / (beta + 1/eta[i]) = 1`` by bisection, then the terms."""
     cs = [Fraction(float(v)) for v in c]
     inv = [1 / Fraction(float(v)) for v in eta]
@@ -354,7 +367,7 @@ def test_simplex_update_root_on_the_pole_keeps_the_pole_term():
     # term would read ~6e-8.
     inv = np.array([3.9, 4.5, 6.0, 9.0])
     c = np.concatenate([[1e-22], (1.0 - 1e-4) * np.array([0.5, 0.3, 0.2]) * (inv[1:] - 3.9)])
-    h = _simplex_update(c, 1.0 / inv)
+    h = _solve(c, 1.0 / inv)[1]
     want = _exact_simplex_update(c, 1.0 / inv)
     assert want[0] == pytest.approx(1e-4, rel=1e-9)
     assert np.max(np.abs(h - want)) <= 1e-12
@@ -363,7 +376,7 @@ def test_simplex_update_root_on_the_pole_keeps_the_pole_term():
 def test_simplex_update_uniform_prior_on_the_pole_is_normalized_counts():
     # beta = 3e-10 - 1e6 rounds to within an ulp of the pole -1e6, so both
     # denominators are rounding error; the counts alone set the shares.
-    h = _simplex_update(np.array([1e-10, 2e-10]), np.full(2, 1e-6))
+    h = _solve(np.array([1e-10, 2e-10]), np.full(2, 1e-6))[1]
     np.testing.assert_allclose(h, [1.0 / 3.0, 2.0 / 3.0], rtol=1e-15)
 
 
@@ -372,7 +385,7 @@ def test_simplex_update_twin_poles_share_the_pole_mass():
     # sum to 1 - 1e-4 there, so the twins split 1e-4 evenly.
     inv = np.array([3.9, 3.9, 4.5, 6.0, 9.0])
     c = np.concatenate([[1e-22, 1e-22], (1.0 - 1e-4) * np.array([0.5, 0.3, 0.2]) * (inv[2:] - 3.9)])
-    h = _simplex_update(c, 1.0 / inv)
+    h = _solve(c, 1.0 / inv)[1]
     want = _exact_simplex_update(c, 1.0 / inv)
     np.testing.assert_allclose(want[:2], [5e-5, 5e-5], rtol=1e-9)
     assert np.max(np.abs(h - want)) <= 1e-12
@@ -381,32 +394,8 @@ def test_simplex_update_twin_poles_share_the_pole_mass():
 def test_simplex_update_denominator_rounding_to_zero_does_not_overflow():
     # beta = 1e-14 - 1e5 rounds to -1e5, so the only denominator is 0.
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        h = _simplex_update(np.array([1e-14]), np.array([1e-5]))
+        h = _solve(np.array([1e-14]), np.array([1e-5]))[1]
     assert np.array_equal(h, [1.0])
-
-
-def _log_floats(lo, hi):
-    """Floats ``10**e`` with exponent ``e`` drawn from ``[lo, hi]``."""
-    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
-
-
-@st.composite
-def _extreme_normalizer_inputs(draw):
-    """Prior means in 1e-6..1e6 with ties and uniform cases; counts in
-    1e-30..1e3 with zeros, those at the largest eta (the pole) down to 1e-300."""
-    n = draw(st.integers(1, 12))
-    kind = draw(st.sampled_from(["free", "tie", "uniform"]))
-    if kind == "uniform":
-        eta = np.full(n, draw(_log_floats(-6, 6)))
-    else:
-        eta = np.array(draw(st.lists(_log_floats(-6, 6), min_size=n, max_size=n)))
-    if kind == "tie":
-        eta[draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))] = eta.max()
-    pole = eta == eta.max()
-    c = np.array([draw(st.one_of(st.just(0.0), _log_floats(-300 if p else -30, 3))) for p in pole])
-    if c.sum() <= 0.0:
-        c[draw(st.integers(0, n - 1))] = draw(_log_floats(-300, 3))
-    return c, eta
 
 
 @settings(max_examples=500, deadline=None)
@@ -414,7 +403,7 @@ def _extreme_normalizer_inputs(draw):
 def test_simplex_update_is_a_finite_simplex_point_without_float_errors(inputs):
     c, eta = inputs
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        h = _simplex_update(c, eta)
+        h = _solve(c, eta)[1]
     assert np.all(np.isfinite(h)) and np.all(h >= 0.0)
     assert abs(h.sum() - 1.0) <= 1e-12
 
@@ -427,7 +416,7 @@ def test_zero_count_entries_leave_the_root_and_the_update_unchanged():
         eta = 10.0 ** rng.uniform(-2.0, 2.0, size=n)
         if rng.uniform() < 0.2:
             eta[:] = eta[0]
-        beta, h = solve_beta(c, eta), _simplex_update(c, eta)
+        beta, h = _solve(c, eta)
         m = int(rng.integers(1, 6))
         eta_zero = 10.0 ** rng.uniform(-2.0, 2.0, size=m)
         if beta < 0.0:
@@ -439,8 +428,8 @@ def test_zero_count_entries_leave_the_root_and_the_update_unchanged():
         slots = np.sort(rng.integers(0, n + 1, size=m))
         c_pad, eta_pad = np.insert(c, slots, 0.0), np.insert(eta, slots, eta_zero)
         zero = np.insert(np.zeros(n, bool), slots, True)
-        assert abs(solve_beta(c_pad, eta_pad) - beta) <= 1e-11 * max(1.0, abs(beta))
-        h_pad = _simplex_update(c_pad, eta_pad)
+        beta_pad, h_pad = _solve(c_pad, eta_pad)
+        assert abs(beta_pad - beta) <= 1e-11 * max(1.0, abs(beta))
         assert np.all(h_pad[zero] == 0.0) and not np.any(np.signbit(h_pad[zero]))
         assert np.max(np.abs(h_pad[~zero] - h)) <= 1e-9
 
@@ -450,13 +439,13 @@ def test_train_near_pole_updates_match_exact_arithmetic(monkeypatch):
     # count at the pole is ~1e-22, at poles -3.9 to -4.3.
     calls = []
 
-    def recorded(c, eta, out=None):
+    def recorded(c, eta, out):
         args = (c.copy(), eta.copy())
-        h = _simplex_update(c, eta, out=out)
-        calls.append((*args, h.copy()))
-        return h
+        beta = solve_beta(c, eta, out)
+        calls.append((*args, out.copy()))
+        return beta
 
-    monkeypatch.setattr(statespace, "_simplex_update", recorded)
+    monkeypatch.setattr(statespace, "solve_beta", recorded)
     x, rank, order = _sparse_problem(14)
     train(x, rank, order, TrainConfig(iters=2, prior_start=0, anneal=1.0, seed=14))
     near = [(c, eta, h) for c, eta, h in calls if c[eta.argmax()] < 1e-20]
@@ -708,9 +697,7 @@ def _train_per_frame(x, rank, order, cfg):
                 ratio = xf[:, t] / np.maximum(w @ h_old, EPS)
                 w_acc += np.outer(ratio, h_old)
                 pred = np.maximum(_stack_lags(lags) @ _past(h_new, t, order), EPS)
-                h_new[:, t] = _simplex_update(
-                    h_old * (w.T @ ratio), pred ** cfg.anneal
-                )
+                h_new[:, t] = _solve(h_old * (w.T @ ratio), pred ** cfg.anneal)[1]
             w = normalize_columns(w * w_acc)
             h = h_new
         if order > 0 and it >= cfg.prior_start:
@@ -763,7 +750,7 @@ def _train_columnwise(x, rank, order, cfg):
         else:
             for t in range(nframes):
                 pred = np.maximum(_stack_lags(lags) @ _past(h, t, order), EPS)
-                h[:, t] = _simplex_update(counts[:, t], pred ** cfg.anneal)
+                h[:, t] = _solve(counts[:, t], pred ** cfg.anneal)[1]
         if order > 0 and it >= cfg.prior_start:
             stacked = estimate_nvar(h, _stack_lags(lags), build_lag_matrix(h, order))
             lags = np.hsplit(stacked, order)[::-1]
@@ -865,7 +852,7 @@ def test_filter_frame_static_model_matches_single_update():
     got = _filter_one(state, x)
     xn = np.maximum(x, EPS)
     xn = xn / xn.sum()
-    want = _simplex_update(_counts(xn, model.basis, np.full(3, 1.0 / 3.0)), np.ones(3))
+    want = _solve(_counts(xn, model.basis, np.full(3, 1.0 / 3.0)), np.ones(3))[1]
     np.testing.assert_array_equal(got, want)
 
 
@@ -940,8 +927,7 @@ def test_filter_stream_matches_frame_loop(order, inner_iters):
 
 def _filter_reference(model, frames, anneal, inner_iters):
     """Per-frame filtering written out: each refinement is the E-step, then
-    the vector-form ``_simplex_update`` at every order (prior mean ones at
-    order 0)."""
+    ``solve_beta``'s update at every order (prior mean ones at order 0)."""
     order, rank = model.order, model.n_components
     history = np.ones((order, rank))
     out = np.empty((rank, frames.shape[1]))
@@ -957,7 +943,7 @@ def _filter_reference(model, frames, anneal, inner_iters):
             h = h / h.sum()
         for r in range(1, inner_iters + 1):
             eta = base ** (anneal / r) if order else base
-            h = _simplex_update(_counts(xf, model.basis, h), eta)
+            h = _solve(_counts(xf, model.basis, h), eta)[1]
         if order:
             history = np.vstack((history[1:], h))
         out[:, t] = h
@@ -1004,7 +990,7 @@ def _filter_static_reference(model, frames, anneal, inner_iters):
         xf = xf / xf.sum()
         h = ones / ones.sum()
         for r in range(1, inner_iters + 1):
-            h = _simplex_update(_counts(xf, model.basis, h), ones ** (anneal / r))
+            h = _solve(_counts(xf, model.basis, h), ones ** (anneal / r))[1]
         out[:, t] = h
     return out
 

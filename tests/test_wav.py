@@ -1,3 +1,4 @@
+import re
 import wave
 
 import numpy as np
@@ -50,6 +51,21 @@ def test_write_rejects_bad_inputs(tmp_path):
         write_wav(path, np.zeros(10), 44100)
     with pytest.raises(ValueError):
         write_wav(path, np.zeros((2, 10)), 8000)
+
+
+def test_write_rejects_nan_and_clips_infinities(tmp_path):
+    # NaN has no PCM value: it is an error naming the file, which is not
+    # created, rather than silence.
+    path = tmp_path / "nan.wav"
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*NaN"):
+        write_wav(str(path), np.array([0.1, np.nan, np.inf, -np.inf, 0.2]), 8000)
+    assert not path.exists()
+    # +-inf clip to full scale, as any out-of-range sample does.
+    path = str(tmp_path / "inf.wav")
+    write_wav(path, np.array([0.1, np.inf, -np.inf, 0.2]), 8000)
+    with wave.open(path, "rb") as fh:
+        data = fh.readframes(fh.getnframes())
+    assert np.frombuffer(data, dtype="<i2").tolist() == [3277, 32767, -32768, 6554]
 
 
 def test_read_rejects_stereo(tmp_path):
