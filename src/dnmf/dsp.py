@@ -214,9 +214,9 @@ def mix_at_snr(signal: Array, noise: Array, target_snr_db: float) -> Array:
     Parameters
     ----------
     signal : np.ndarray
-        Finite reference signal with positive energy.
+        Finite reference signal, not all zero; any float64 magnitude.
     noise : np.ndarray
-        Finite interference with positive energy, same shape.
+        Finite interference, not all zero, of the same shape.
     target_snr_db : float
         Desired ``output_snr(signal, mixture)`` in dB; finite, and within
         about +-3000 dB, so that the noise scale is a positive float64.
@@ -233,14 +233,18 @@ def mix_at_snr(signal: Array, noise: Array, target_snr_db: float) -> Array:
         raise ValueError("signal and noise must share one shape")
     if not np.isfinite(target_snr_db):
         raise ValueError("target SNR must be finite")
-    es, en = float(np.sum(signal * signal)), float(np.sum(noise * noise))
-    for name, a, energy in (("signal", signal, es), ("noise", noise, en)):
+    for name, a in (("signal", signal), ("noise", noise)):
         if not np.isfinite(a).all():
             raise ValueError(f"{name} must be finite")
-        if energy <= 0.0:
+        if not a.any():
             raise ValueError(f"{name} has zero energy")
     with np.errstate(all="ignore"):  # float64: 0 or inf, no Python OverflowError
-        scale = np.sqrt(es / (en * np.float64(10.0) ** (target_snr_db / 10.0)))
+        es, en, ps, pn = np.sum(signal * signal), np.sum(noise * noise), 1.0, 1.0
+        if not (0.0 < es < np.inf and 0.0 < en < np.inf):
+            # An energy outside float64: form both from the arguments over their peaks.
+            ps, pn = np.max(np.abs(signal)), np.max(np.abs(noise))
+            es, en = np.sum((signal / ps) ** 2), np.sum((noise / pn) ** 2)
+        scale = ps / pn * np.sqrt(es / (en * np.float64(10.0) ** (target_snr_db / 10.0)))
     if not (np.isfinite(scale) and scale > 0.0):
         raise ValueError(f"target SNR {target_snr_db:g} dB needs a noise scale outside float64")
     return signal + scale * noise

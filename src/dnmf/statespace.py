@@ -175,10 +175,10 @@ def solve_beta(c: Array, eta: Array, out: Array) -> float:
     ``-min(1/eta[i])``, where ``g`` falls from +inf to 0; a zero count's
     ``1/eta[i]`` is taken as +inf, so its term is 0.
 
-    Under a uniform ``eta`` the root is ``sum(c) - 1/eta[0]`` in closed form.
-    Otherwise it lies in the closed-form bracket ``[pole + c_m, pole +
-    sum(c)]``, with ``c_m`` the count at the smallest ``1/eta``; no iterate
-    sits on the pole, even where ``pole + c_m`` rounds to it.  Newton's
+    Under a uniform ``eta`` the update is ``c / sum(c)`` and the root
+    ``sum(c) - 1/eta[0]``.  Otherwise the root lies in the bracket ``[pole +
+    c_m, pole + sum(c)]``, with ``c_m`` the count at the smallest ``1/eta``;
+    no iterate sits on the pole, even where ``pole + c_m`` rounds to it.  Newton's
     method runs on the equivalent ``1/g(beta) = 1``, which is exactly linear
     in ``beta`` under a uniform prior and nearly so when one term dominates,
     so it needs fewer steps than Newton on ``g`` (Bunch, Nielsen & Sorensen,
@@ -199,13 +199,9 @@ def solve_beta(c: Array, eta: Array, out: Array) -> float:
     # for a fraction of the dispatch.
     k = eta.argmax()
     if eta[eta.argmin()] == eta[k]:
-        # One scalar denominator: the bits of a vector of equal entries.
-        beta = total - 1.0 / float(eta[0])
-        d = 1.0 / float(eta[0]) + beta
-        if d > _BETA_RESOLUTION * max(1.0, abs(beta)):
-            np.divide(c, d, out=out)
-            out /= _sum(out, 0)
-            return beta
+        # Every denominator is sum(c): the update is the normalized counts.
+        np.divide(c, total, out=out)
+        return total - 1.0 / float(eta[0])
     else:
         inv = 1.0 / eta
         if c[c.argmin()] == 0.0:
@@ -421,7 +417,7 @@ def filter_frame(state: FilterState, x: Array) -> Array:
     refinement the prior mean is exactly ``b ** anneal``.  One loop runs the
     ``inner_iters`` refinements: an E-step, whose responsibilities enter only
     through their weighted column sums, then :func:`solve_beta`'s simplex
-    update (prior mean ones without dynamics, the closed-form root).
+    update (prior mean ones without dynamics: the normalized counts).
 
     Precondition, checked by :func:`filter_stream` and not here: ``x`` is a
     1-D float64 frame of ``model.n_features`` finite, nonnegative entries.

@@ -91,6 +91,24 @@ def test_star_import_is_clean_under_warnings_as_errors():
     assert proc.stderr == ""
 
 
+def _top_level_modules(code: str) -> set[str]:
+    """The top-level names in ``sys.modules`` after ``code`` runs in a fresh
+    interpreter."""
+    report = "import sys; print(*sorted({m.partition('.')[0] for m in sys.modules}))"
+    proc = subprocess.run([sys.executable, "-c", f"{code}\n{report}"],
+                          capture_output=True, text=True, env=_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_cli_import_adds_only_the_standard_library_and_numpy():
+    # The cold start of `python -m dnmf.cli` is all of the tracking
+    # benchmark's set-up time, so no third-party import may ride along.
+    added = _top_level_modules("import dnmf.cli") - _top_level_modules("pass")
+    outside = {m for m in added if m not in sys.stdlib_module_names}
+    assert outside <= {"numpy", "dnmf"}, sorted(outside)
+
+
 def test_demos_and_readme_import_only_the_root_api():
     sources = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "demos").glob("*.py"))]
     sources += _readme_python_blocks()

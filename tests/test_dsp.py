@@ -259,6 +259,27 @@ def test_mix_at_snr_extremes_inside_float64_still_mix():
         assert np.all(np.isfinite(mix_at_snr(sig, noise, target)))
 
 
+def test_mix_at_snr_energies_outside_float64_still_mix():
+    # sum(a * a) overflows for entries near 1e200 and underflows to 0 for
+    # entries near 1e-170; the energies are formed from arguments divided by
+    # their peaks, so both mixtures come out right.
+    np.testing.assert_allclose(mix_at_snr(np.full(4, 1e200), np.ones(4), 0.0),
+                               np.full(4, 2e200), rtol=1e-12)
+    np.testing.assert_allclose(mix_at_snr(np.ones(4), np.full(4, 1e-170), 0.0),
+                               np.full(4, 2.0), rtol=1e-12)
+    alternating = np.array([1.0, -1.0, 1.0, -1.0])
+    np.testing.assert_allclose(mix_at_snr(np.ones(4), 1e-170 * alternating, 10.0),
+                               1.0 + alternating / np.sqrt(10.0), rtol=1e-12)
+    np.testing.assert_allclose(mix_at_snr(1e-200 * alternating, np.full(4, 3e-190), -20.0),
+                               1e-200 * (alternating + 10.0), rtol=1e-12)
+    # Where the plain energies are finite and positive, the bits stay those
+    # of the plain formula.
+    sig = np.sin(np.linspace(0.0, 40.0, 200))
+    noise = np.random.default_rng(7).standard_normal(200)
+    plain = np.sqrt(np.sum(sig * sig) / (np.sum(noise * noise) * np.float64(10.0) ** 0.75))
+    assert np.array_equal(mix_at_snr(sig, noise, 7.5), sig + plain * noise)
+
+
 @pytest.mark.parametrize("fft_size, largest", [(1024, 1018), (512, 509), (128, 127), (16, 15)])
 def test_gap_free_hop_limit(fft_size, largest):
     _check_hop(fft_size, largest)

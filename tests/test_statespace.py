@@ -1,3 +1,4 @@
+import functools
 import re
 import warnings
 from fractions import Fraction
@@ -27,7 +28,8 @@ from dnmf.statespace import (
     solve_beta,
     train,
 )
-from test_frozen_reference import _extreme_normalizer_inputs, _update_at_root
+from test_frozen_reference import (_UNIFORM_ULPS, _extreme_normalizer_inputs, _ulps,
+                                   _uniform_as_counts, _update_at_root)
 
 
 def _solve(c, eta):
@@ -205,11 +207,13 @@ def _newton_root(c, eta):
     raise AssertionError("reference normalizer did not converge")
 
 
-def _solve_beta_newton(c, eta, out):
+def _solve_beta_newton(c, eta, out, update=_uniform_as_counts(_update_at_root)):
     """``solve_beta`` rebuilt from references: the Newton root, then the frozen
-    second pass (``1/eta + beta`` recomputed, near-pole rule) into ``out``."""
+    second pass (``1/eta + beta`` recomputed, near-pole rule) into ``out``, or
+    under a uniform prior the normalized counts (``update=_update_at_root``
+    keeps the frozen pass there too)."""
     beta = _newton_root(c, eta)
-    _update_at_root(c, eta, beta, out)
+    update(c, eta, beta, out=out)
     return beta
 
 
@@ -317,7 +321,7 @@ def test_update_state_uniform_prior_is_normalized_counts():
         wh = np.maximum(model.basis @ coeffs, EPS)
         c = coeffs * (model.basis.T @ (xf / wh))
         got = _solve(c, np.ones(4))[1]
-        np.testing.assert_allclose(got, c / c.sum(), atol=1e-12)
+        assert np.array_equal(got, c / c.sum())
 
 
 def test_update_state_maximizes_frame_objective():
@@ -1005,6 +1009,10 @@ def test_filter_stream_static_matches_newton_path(inner_iters, monkeypatch):
     monkeypatch.setattr(statespace, "solve_beta", _solve_beta_newton)
     want = _filter_static_reference(model, frames, 0.25, inner_iters)
     assert np.array_equal(got, want)
+    monkeypatch.setattr(statespace, "solve_beta", functools.partial(_solve_beta_newton,
+                                                                   update=_update_at_root))
+    frozen = _filter_static_reference(model, frames, 0.25, inner_iters)
+    assert _ulps(got, frozen) <= _UNIFORM_ULPS * inner_iters
 
 
 def test_run_tracking_matches_newton_path(monkeypatch):
