@@ -1,11 +1,13 @@
 """Dense nonnegative-matrix utilities shared across the package.
 
-Everything operates on plain float64 numpy arrays.  The helpers below validate
-scalars and shape/sign invariants once at the boundary; the iterative code
-paths then stay branch-light and trust their inputs.
+Everything operates on plain float64 numpy arrays.  The private checks below
+validate every scalar and array once at the public boundary (integers,
+exponents, nonnegative matrices, and the finite same-shape arrays of the signal
+and score functions); the iterative code paths trust their inputs.
 """
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -43,30 +45,38 @@ def _checked_exponent(value, name: str = "anneal") -> float:
     return float(value)
 
 
+def _checked_matrix(a, name: str, rows: int | None = None, cols: int | None = None) -> Array:
+    """``a`` as float64 once it is 2-D with ``rows`` rows and ``cols`` columns
+    (where given) and every entry is finite and nonnegative; else ``ValueError``."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or rows not in (None, a.shape[0]) or cols not in (None, a.shape[1]):
+        want = f" with {rows} rows" if cols is None else f" with shape ({rows}, {cols})"
+        raise ValueError(f"{name} must be 2-D{want if rows else ''}, got shape {a.shape}")
+    # NaN fails both comparisons, -inf the first and +inf the second.
+    if a.size and not (a.min() >= 0.0 and a.max() < math.inf):
+        raise ValueError(f"{name} must be nonnegative and finite")
+    return a
+
+
+def _checked_arrays(**arrays) -> list[Array]:
+    """Each argument as float64 once all share one shape and every entry is
+    finite; else ``ValueError`` naming the argument."""
+    out = [np.asarray(a, dtype=np.float64) for a in arrays.values()]
+    for name, a in zip(arrays, out):
+        if a.shape != out[0].shape:
+            raise ValueError(
+                f"{name} has shape {a.shape}, not {next(iter(arrays))}'s {out[0].shape}")
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite")
+    return out
+
+
 def nonneg_matrix(data, name: str = "matrix") -> Array:
-    """Validate and return a 2-D float64 array with finite, nonnegative entries.
-
-    Parameters
-    ----------
-    data : array_like
-        Anything convertible to a 2-D numeric array.
-    name : str
-        Label used in error messages.
-
-    Returns
-    -------
-    np.ndarray
-        C-contiguous float64 array of shape (rows, cols).
-    """
-    arr = np.ascontiguousarray(data, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
+    """``data`` as a C-contiguous float64 array once it is non-empty and 2-D with
+    finite, nonnegative entries; else ``ValueError`` labelled ``name``."""
+    arr = _checked_matrix(np.ascontiguousarray(data, dtype=np.float64), name)
     if arr.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    if np.any(arr < 0.0):
-        raise ValueError(f"{name} contains negative entries")
     return arr
 
 
@@ -110,23 +120,18 @@ def is_divergence(x: Array, xhat: Array) -> float:
     Parameters
     ----------
     x : np.ndarray
-        Nonnegative data.
+        Finite, nonnegative data.
     xhat : np.ndarray
-        Strictly positive approximation, same shape as ``x``.
+        Finite, strictly positive approximation, same shape as ``x``.
 
     Returns
     -------
     float
         The divergence; zero iff ``x == xhat`` elementwise.
     """
-    x = np.asarray(x, dtype=np.float64)
-    xhat = np.asarray(xhat, dtype=np.float64)
-    if x.shape != xhat.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {xhat.shape}")
-    if np.any(xhat <= 0.0):
-        raise ValueError("approximation must be strictly positive")
-    if np.any(x < 0.0):
-        raise ValueError("data must be nonnegative")
+    x, xhat = _checked_arrays(x=x, xhat=xhat)
+    if not (np.all(x >= 0.0) and np.all(xhat > 0.0)):
+        raise ValueError("x must be nonnegative and xhat strictly positive")
     ratio = x / xhat
     with np.errstate(divide="ignore"):
         log_ratio = np.log(ratio)

@@ -1,9 +1,11 @@
 """Short-time Fourier analysis, mask-based reconstruction, and SNR helpers."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .core import EPS, Array, _checked_int
+from .core import EPS, Array, _checked_arrays, _checked_int
 
 __all__ = [
     "stft",
@@ -16,6 +18,7 @@ __all__ = [
 _WINSUM_CUTOFF = 1e-8
 # Frames per bulk FFT in stft and istft.
 _BLOCK = 128
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 def _hann(n: int) -> Array:
@@ -170,19 +173,14 @@ def wiener_reconstruct(mix_mag: Array, est1: Array, est2: Array) -> tuple[Array,
     ----------
     mix_mag, est1, est2 : np.ndarray
         Nonnegative arrays of identical shape (vectors or full spectrograms);
-        a negative or NaN entry raises ``ValueError``.
+        a negative, NaN or infinite entry raises ``ValueError``.
 
     Returns
     -------
     (part1, part2) : tuple of np.ndarray
         Nonnegative splits of ``mix_mag``.
     """
-    mix_mag = np.asarray(mix_mag, dtype=np.float64)
-    est1 = np.asarray(est1, dtype=np.float64)
-    est2 = np.asarray(est2, dtype=np.float64)
-    if not (mix_mag.shape == est1.shape == est2.shape):
-        raise ValueError("all inputs must share one shape")
-    # The minimum of an array holding NaN is NaN, which fails ``>= 0``.
+    mix_mag, est1, est2 = _checked_arrays(mix_mag=mix_mag, est1=est1, est2=est2)
     if mix_mag.size and not all(x.min() >= 0.0 for x in (mix_mag, est1, est2)):
         raise ValueError("magnitudes must be nonnegative")
     part1 = np.add(est1, est2)
@@ -192,20 +190,31 @@ def wiener_reconstruct(mix_mag: Array, est1: Array, est2: Array) -> tuple[Array,
     return part1, mix_mag - part1
 
 
+def _energy(a: Array) -> tuple[float, float]:
+    """``(peak, e)`` with ``peak ** 2 * e == sum(a * a)`` for finite ``a``: the plain
+    sum and peak 1 where that sum is a normal positive float64, else the energy
+    of ``a / max|a|``; ``(1.0, 0.0)`` for all-zero ``a``."""
+    with np.errstate(over="ignore"):
+        e = float(np.sum(a * a))
+    if _TINY <= e < math.inf or not a.any():
+        return 1.0, e
+    peak = float(np.max(np.abs(a)))
+    return peak, float(np.sum((a / peak) ** 2))
+
+
 def output_snr(reference: Array, estimate: Array) -> float:
-    """SNR in dB of an estimate against its reference; +inf for exact match."""
-    reference = np.asarray(reference, dtype=np.float64)
-    estimate = np.asarray(estimate, dtype=np.float64)
-    if reference.shape != estimate.shape:
-        raise ValueError("signals must share one shape")
-    num = float(np.sum(reference * reference))
-    if num <= 0.0:
+    """SNR in dB of an estimate against its reference; +inf for exact match.
+    A non-finite entry or a shape mismatch raises ``ValueError`` naming the
+    argument.  Entries of any magnitude score right while ``estimate -
+    reference`` stays finite and the SNR within about +-3000 dB."""
+    reference, estimate = _checked_arrays(reference=reference, estimate=estimate)
+    pr, er = _energy(reference)
+    if er == 0.0:
         raise ValueError("reference signal has zero energy")
-    error = estimate - reference
-    den = float(np.sum(error * error))
-    if den <= 0.0:
+    pe, ee = _energy(estimate - reference)
+    if ee == 0.0:
         return float("inf")
-    return 10.0 * np.log10(num / den)
+    return 10.0 * np.log10(er / ee) + 20.0 * np.log10(pr / pe)
 
 
 def mix_at_snr(signal: Array, noise: Array, target_snr_db: float) -> Array:
@@ -218,33 +227,30 @@ def mix_at_snr(signal: Array, noise: Array, target_snr_db: float) -> Array:
     noise : np.ndarray
         Finite interference, not all zero, of the same shape.
     target_snr_db : float
-        Desired ``output_snr(signal, mixture)`` in dB; finite, and within
-        about +-3000 dB, so that the noise scale is a positive float64.
+        Desired ``output_snr(signal, mixture)`` in dB; finite, and from about
+        -3200 to 3080 dB, so that ``10 ** (target_snr_db / 10)`` is positive.
 
     Returns
     -------
     np.ndarray
         ``signal + scale * noise`` with the scale chosen so the realized SNR
-        matches the target to well under 1e-9 dB.
+        matches the target to well under 1e-9 dB.  ``ValueError`` where the
+        scale is not a normal float64 or the mixture is not finite.
     """
-    signal = np.asarray(signal, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
-    if signal.shape != noise.shape:
-        raise ValueError("signal and noise must share one shape")
-    if not np.isfinite(target_snr_db):
-        raise ValueError("target SNR must be finite")
-    for name, a in (("signal", signal), ("noise", noise)):
-        if not np.isfinite(a).all():
-            raise ValueError(f"{name} must be finite")
-        if not a.any():
+    signal, noise = _checked_arrays(signal=signal, noise=noise)
+    (ps, es), (pn, en) = _energy(signal), _energy(noise)
+    for name, e in (("signal", es), ("noise", en)):
+        if e == 0.0:
             raise ValueError(f"{name} has zero energy")
-    with np.errstate(all="ignore"):  # float64: 0 or inf, no Python OverflowError
-        es, en, ps, pn = np.sum(signal * signal), np.sum(noise * noise), 1.0, 1.0
-        if not (0.0 < es < np.inf and 0.0 < en < np.inf):
-            # An energy outside float64: form both from the arguments over their peaks.
-            ps, pn = np.max(np.abs(signal)), np.max(np.abs(noise))
-            es, en = np.sum((signal / ps) ** 2), np.sum((noise / pn) ** 2)
-        scale = ps / pn * np.sqrt(es / (en * np.float64(10.0) ** (target_snr_db / 10.0)))
-    if not (np.isfinite(scale) and scale > 0.0):
-        raise ValueError(f"target SNR {target_snr_db:g} dB needs a noise scale outside float64")
-    return signal + scale * noise
+    # ps / pn * sqrt(es / (en * gain)) on its factors' significands, the powers of
+    # two summed apart: the formula's bits wherever its steps stay normal.
+    with np.errstate(all="ignore"):  # float64 0, inf or nan: no Python error
+        gain = np.float64(10.0) ** (target_snr_db / 10.0)
+        (ms, mn, mg, mps, mpn), (xs, xn, xg, xps, xpn) = np.frexp([es, en, gain, ps, pn])
+        x = xs - xn - xg
+        scale = np.ldexp(mps / mpn * np.sqrt(ms * 2.0 ** (x % 2) / (mn * mg)), xps - xpn + x // 2)
+        mixture = signal + scale * noise
+    if not (_TINY <= scale and -math.inf < mixture.min() and mixture.max() < math.inf):
+        raise ValueError(
+            f"target SNR {target_snr_db:g} dB needs a noise scale or a mixture outside float64")
+    return mixture

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS, Array, _checked_int
+from .core import EPS, Array, _checked_arrays, _checked_int
 from .dsp import _BLOCK, istft, mix_at_snr, output_snr, stft
 from .statespace import DnmfModel, FilterState, TrainConfig, concat_models, filter_stream, train
 
@@ -173,11 +173,9 @@ def track_frequency(h: Array, fft_size: int = 128) -> float | Array:
 
 
 def tracking_mse(estimates: Array, truths: Array) -> float:
-    """Mean squared frequency error, pooled over every run and frame."""
-    estimates = np.asarray(estimates, dtype=np.float64)
-    truths = np.asarray(truths, dtype=np.float64)
-    if estimates.shape != truths.shape:
-        raise ValueError("estimate/truth shapes differ")
+    """Mean squared frequency error, pooled over every run and frame, of
+    finite arrays of one shape (else ``ValueError`` naming the argument)."""
+    estimates, truths = _checked_arrays(estimates=estimates, truths=truths)
     diff = estimates - truths
     return float(np.mean(diff * diff))
 

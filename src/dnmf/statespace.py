@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import (EPS, Array, _checked_exponent, _checked_int, is_divergence, nonneg_matrix,
-                   normalize_columns, stochastic_matrix)
+from .core import (EPS, Array, _checked_exponent, _checked_int, _checked_matrix, is_divergence,
+                   nonneg_matrix, normalize_columns, stochastic_matrix)
 from .plca import is_nmf_update_w
 
 __all__ = [
@@ -69,16 +69,9 @@ class DnmfModel:
 
     def __post_init__(self) -> None:
         self.basis = stochastic_matrix(self.basis, name="basis")
-        checked = []
-        for j, a in enumerate(self.lags):
-            a = nonneg_matrix(a, name=f"lag matrix {j + 1}")
-            if a.shape != (self.n_components, self.n_components):
-                raise ValueError(
-                    f"lag matrix {j + 1} has shape {a.shape}, expected "
-                    f"({self.n_components}, {self.n_components})"
-                )
-            checked.append(a)
-        self.lags = checked
+        i = self.n_components
+        self.lags = [_checked_matrix(a, f"lag matrix {j + 1}", i, i)
+                     for j, a in enumerate(self.lags)]
 
     @property
     def n_features(self) -> int:
@@ -453,20 +446,6 @@ def filter_frame(state: FilterState, x: Array) -> Array:
     return h
 
 
-def _checked(a, name: str, rows: int, cols: int | None = None) -> Array:
-    """``a`` as float64 once it is 2-D with ``rows`` rows (and ``cols``
-    columns when given) and every entry is finite and nonnegative: the one
-    check of ``filter_stream``'s frames and of the scores' coefficients."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != rows or (cols is not None and a.shape[1] != cols):
-        want = f"{rows} rows" if cols is None else f"shape ({rows}, {cols})"
-        raise ValueError(f"{name} must be 2-D with {want}, got shape {a.shape}")
-    # NaN fails both comparisons, -inf the first and +inf the second.
-    if a.size and not (a.min() >= 0.0 and a.max() < math.inf):
-        raise ValueError(f"{name} must be nonnegative and finite")
-    return a
-
-
 def filter_stream(state: FilterState, frames: Array) -> Array:
     """Filter every column of ``frames`` in order with :func:`filter_frame`.
 
@@ -498,7 +477,7 @@ def filter_stream(state: FilterState, frames: Array) -> Array:
         invalid="raise", divide="raise")``.  The frames before the failing
         one stay in ``state``'s history; the failing frame leaves none.
     """
-    frames = _checked(frames, "frames", state.model.n_features)
+    frames = _checked_matrix(frames, "frames", state.model.n_features)
     h = np.empty((state.model.n_components, frames.shape[1]))
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         for t in range(frames.shape[1]):
@@ -519,7 +498,7 @@ def map_objective(x: Array, model: DnmfModel, h: Array) -> float:
     negative, NaN or infinite entry.
     """
     data = nonneg_matrix(x, name="data")
-    h = _checked(h, "coefficients", model.n_components, data.shape[1])
+    h = _checked_matrix(h, "coefficients", model.n_components, data.shape[1])
     if data.shape[0] != model.n_features:
         raise ValueError("data row count does not match model features")
     xf = np.maximum(data, EPS)
@@ -540,7 +519,7 @@ def lag_fit_divergence(model: DnmfModel, h: Array) -> float:
     """
     if model.order < 1:
         raise ValueError("model has no lag matrices (order 0)")
-    h = _checked(h, "coefficients", model.n_components)
+    h = _checked_matrix(h, "coefficients", model.n_components)
     return is_divergence(np.maximum(h, EPS), _predict_all(model.lags, h))
 
 

@@ -221,6 +221,36 @@ def test_scalar_checks_live_in_core_only():
     assert found == []
 
 
+def _isfinite_call(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and "isfinite" in (
+        getattr(node.func, "attr", None), getattr(node.func, "id", None))
+
+
+def test_array_checks_live_in_core_only():
+    """Only ``dnmf.core`` checks arrays against each other's shape or for
+    finiteness throughout.
+
+    Any other ``src/dnmf`` module fails that compares one ``.shape``
+    attribute with another, or that reduces ``np.isfinite`` over an array
+    with ``.all()`` or ``np.all``: such checks go through
+    ``core._checked_matrix`` and ``core._checked_arrays``.
+    """
+    found = []
+    for path in sorted((SRC / "dnmf").glob("*.py")):
+        if path.stem == "core":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            hit = False
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                hit = sum(getattr(o, "attr", None) == "shape" for o in operands) >= 2
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "all":
+                hit = any(_isfinite_call(a) for a in (node.func.value, *node.args))
+            if hit:
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node).splitlines()[0]}")
+    assert found == []
+
+
 def test_solve_beta_is_the_only_simplex_update():
     """``solve_beta`` writes the simplex update at every call site.
 

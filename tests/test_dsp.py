@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dnmf.core import EPS
 from dnmf.dsp import (
@@ -189,9 +191,15 @@ def test_wiener_validation():
         wiener_reconstruct(np.ones(3), -np.ones(3), np.ones(3))
     for position in range(3):
         args = [np.ones(3), np.ones(3), np.ones(3)]
-        args[position][1] = np.nan
+        args[position][1] = -1.0
         with pytest.raises(ValueError, match="nonnegative"):
             wiener_reconstruct(*args)
+    for position, name in enumerate(("mix_mag", "est1", "est2")):
+        for bad in (np.nan, np.inf, -np.inf):
+            args = [np.ones(3), np.ones(3), np.ones(3)]
+            args[position][1] = bad
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                wiener_reconstruct(*args)
     p1, p2 = wiener_reconstruct(np.ones(0), np.ones(0), np.ones(0))
     assert p1.shape == p2.shape == (0,)
 
@@ -199,8 +207,10 @@ def test_wiener_validation():
 def test_output_snr_hand_value():
     clean = np.array([1.0, 1.0, 1.0, 1.0])
     noisy = clean + np.array([0.1, -0.1, 0.1, -0.1])
-    # 10 log10(4 / 0.04) = 20 dB
-    assert output_snr(clean, noisy) == pytest.approx(20.0, abs=1e-12)
+    # 10 log10(4 / 0.04) = 20 dB, also where sum(a * a) overflows (1e200)
+    # or underflows to 0 (1e-170).
+    for scale in (1.0, 1e200, 1e-170):
+        assert output_snr(scale * clean, scale * noisy) == pytest.approx(20.0, abs=1e-12)
 
 
 def test_output_snr_perfect_estimate_is_infinite():
@@ -239,6 +249,10 @@ def test_mix_at_snr_validation():
     for target in (3100.0, -3400.0, 1e308, -1e308):
         with pytest.raises(ValueError, match="SNR"):
             mix_at_snr(sig, sig, target)
+    # A normal scale (1e308) whose mixture overflows raises instead of
+    # returning inf.
+    with pytest.raises(ValueError, match="mixture outside float64"):
+        mix_at_snr(np.full(4, 1e306), np.full(4, 10.0), -60.0)
 
 
 def test_mix_at_snr_names_a_non_finite_argument():
@@ -272,12 +286,36 @@ def test_mix_at_snr_energies_outside_float64_still_mix():
                                1.0 + alternating / np.sqrt(10.0), rtol=1e-12)
     np.testing.assert_allclose(mix_at_snr(1e-200 * alternating, np.full(4, 3e-190), -20.0),
                                1e-200 * (alternating + 10.0), rtol=1e-12)
+    # es / en underflows (about 1e-450) or overflows (about 1e480), but the
+    # noise scales, about 1e-225 and 1e240, are normal floats.
+    for signal, noise in ((1e-118 * alternating, np.full(4, 1e107)),
+                          (np.full(4, 1e120), 1e-120 * alternating)):
+        assert abs(output_snr(signal, mix_at_snr(signal, noise, 0.0))) <= 1e-9
     # Where the plain energies are finite and positive, the bits stay those
     # of the plain formula.
     sig = np.sin(np.linspace(0.0, 40.0, 200))
     noise = np.random.default_rng(7).standard_normal(200)
     plain = np.sqrt(np.sum(sig * sig) / (np.sum(noise * noise) * np.float64(10.0) ** 0.75))
     assert np.array_equal(mix_at_snr(sig, noise, 7.5), sig + plain * noise)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mix_at_snr_round_trip_at_any_float64_scale(data):
+    """Signal and noise peaks anywhere in 1e+-250 and a target within +-60 dB
+    whose noise scale lies inside 1e+-300: the mixture scores the target."""
+    draw = data.draw
+    unit = st.lists(st.floats(-1.0, 1.0), min_size=(n := draw(st.integers(1, 8))), max_size=n)
+    signal, noise = np.array(draw(unit)), np.array(draw(unit))
+    assume(signal.any() and noise.any())
+    signal = signal / np.abs(signal).max() * 10.0 ** draw(st.floats(-250.0, 250.0))
+    noise = noise / np.abs(noise).max() * 10.0 ** draw(st.floats(-250.0, 250.0))
+    target = draw(st.floats(-60.0, 60.0))
+    ps, pn = np.abs(signal).max(), np.abs(noise).max()
+    log_scale = (np.log10(ps) - np.log10(pn) - target / 20.0
+                 + 0.5 * np.log10(np.sum((signal / ps) ** 2) / np.sum((noise / pn) ** 2)))
+    assume(abs(log_scale) <= 300.0)
+    assert abs(output_snr(signal, mix_at_snr(signal, noise, target)) - target) <= 1e-9
 
 
 @pytest.mark.parametrize("fft_size, largest", [(1024, 1018), (512, 509), (128, 127), (16, 15)])

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from dnmf import statespace
 from dnmf.core import EPS, is_divergence, normalize_columns
-from dnmf.dsp import _check_hop, istft, stft
-from dnmf.experiments import TrackingScenario, run_tracking
+from dnmf.dsp import _check_hop, istft, mix_at_snr, output_snr, stft, wiener_reconstruct
+from dnmf.experiments import TrackingScenario, run_tracking, tracking_mse
 from dnmf.statespace import (
     _INIT_FLOOR,
     _predict_all,
@@ -1182,6 +1182,44 @@ def test_public_boundary_rejects_bad_arrays_with_value_error(data):
     with pytest.raises(ValueError):
         call(a)
     assert np.array_equal(state.history, history)
+
+
+_SCORES = {  # function: (its call, argument names, lowest unit entry, largest |log10| magnitude)
+    "output_snr": (output_snr, ("reference", "estimate"), -1.0, 200),
+    "mix_at_snr": (lambda signal, noise: mix_at_snr(signal, noise, 6.0), ("signal", "noise"),
+                   -1.0, 200),
+    "wiener_reconstruct": (wiener_reconstruct, ("mix_mag", "est1", "est2"), 0.0, 200),
+    "is_divergence": (is_divergence, ("x", "xhat"), 0.05, 200),
+    # The MSE is quadratic in its entries, so 1e+-200 entries put it outside float64.
+    "tracking_mse": (tracking_mse, ("estimates", "truths"), -1.0, 150),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_signal_and_score_functions_reject_bad_arrays_with_value_error(data):
+    """A NaN or infinite entry or a mismatched shape in any array that
+    ``output_snr``, ``mix_at_snr``, ``wiener_reconstruct``, ``is_divergence``
+    or ``tracking_mse`` takes raises ``ValueError`` naming that argument; the
+    unbroken call returns finite numbers, at magnitudes 1e+-200 included."""
+    draw = data.draw
+    call, names, low, top = _SCORES[draw(st.sampled_from(sorted(_SCORES)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    magnitude = 10.0 ** draw(st.integers(-top, top))
+    shape = draw(st.sampled_from([(1,), (5,), (3, 4)]))
+    arrays = {name: magnitude * rng.uniform(low, 1.0, size=shape) for name in names}
+    how = draw(st.sampled_from(["none", "entry", "extra entry", "extra axis"]))
+    if how == "none":
+        assert np.all(np.isfinite(call(**arrays)))
+        return
+    name = draw(st.sampled_from(names))
+    a = arrays[name]
+    if how == "entry":
+        a.flat[draw(st.integers(0, a.size - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    else:
+        arrays[name] = np.append(a, a.flat[0]) if how == "extra entry" else a[None]
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        call(**arrays)
 
 
 # public boundary for scalars: every size, count, seed, hop and exponent is
