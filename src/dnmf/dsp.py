@@ -161,13 +161,21 @@ def istft(frames: Array, hop: int) -> Array:
     return out[: fft_size + (n_frames - 1) * hop]
 
 
+def _soft_mask(est1: Array, est2: Array) -> Array:
+    """The Wiener gain of source 1, ``est1 / max(est1 + est2, EPS)``, in a new array."""
+    mask = np.add(est1, est2)
+    np.maximum(mask, EPS, out=mask)
+    return np.divide(est1, mask, out=mask)
+
+
 def wiener_reconstruct(mix_mag: Array, est1: Array, est2: Array) -> tuple[Array, Array]:
     """Split a mixture magnitude between two source estimates by soft masking.
 
-    The first output is ``mix_mag * est1 / (est1 + est2)`` (denominator
-    floored at ``EPS``); the second is the remainder ``mix_mag - first``, so
-    the two sum back to the mixture to within one float64 rounding step.
-    The mask is built in the first output's buffer, with no other temporary.
+    The first output is ``mix_mag`` times :func:`_soft_mask`'s gain ``est1 /
+    max(est1 + est2, EPS)``, the one Wiener gain that ``separate_sources``
+    applies too; the second is the remainder ``mix_mag - first``, so the two
+    sum back to the mixture to within one float64 rounding step.  The mask is
+    built in the first output's buffer, with no other temporary.
 
     Parameters
     ----------
@@ -183,9 +191,7 @@ def wiener_reconstruct(mix_mag: Array, est1: Array, est2: Array) -> tuple[Array,
     mix_mag, est1, est2 = _checked_arrays(mix_mag=mix_mag, est1=est1, est2=est2)
     if mix_mag.size and not all(x.min() >= 0.0 for x in (mix_mag, est1, est2)):
         raise ValueError("magnitudes must be nonnegative")
-    part1 = np.add(est1, est2)
-    np.maximum(part1, EPS, out=part1)
-    np.divide(est1, part1, out=part1)
+    part1 = _soft_mask(est1, est2)
     part1 *= mix_mag
     return part1, mix_mag - part1
 
@@ -205,16 +211,26 @@ def _energy(a: Array) -> tuple[float, float]:
 def output_snr(reference: Array, estimate: Array) -> float:
     """SNR in dB of an estimate against its reference; +inf for exact match.
     A non-finite entry or a shape mismatch raises ``ValueError`` naming the
-    argument.  Entries of any magnitude score right while ``estimate -
-    reference`` stays finite and the SNR within about +-3000 dB."""
+    argument.  Finite arrays of any magnitude score right, and the result is
+    finite unless the match is exact: within +-12632 dB plus ``10 log10`` of
+    the length, the span of float64 magnitudes."""
     reference, estimate = _checked_arrays(reference=reference, estimate=estimate)
     pr, er = _energy(reference)
     if er == 0.0:
         raise ValueError("reference signal has zero energy")
-    pe, ee = _energy(estimate - reference)
+    with np.errstate(over="ignore"):
+        error = estimate - reference
+    if not (-math.inf < error.min() and error.max() < math.inf):
+        # Halved, the difference is finite, and a quarter of er matches it.
+        error, er = 0.5 * estimate - 0.5 * reference, 0.25 * er
+    pe, ee = _energy(error)
     if ee == 0.0:
         return float("inf")
-    return 10.0 * np.log10(er / ee) + 20.0 * np.log10(pr / pe)
+    r, p = er / ee, pr / pe
+    if _TINY <= r < math.inf and _TINY <= p < math.inf:
+        return 10.0 * np.log10(r) + 20.0 * np.log10(p)
+    # A ratio outside the normal float64 range: the logarithms of its factors.
+    return 10.0 * (np.log10(er) - np.log10(ee)) + 20.0 * (np.log10(pr) - np.log10(pe))
 
 
 def mix_at_snr(signal: Array, noise: Array, target_snr_db: float) -> Array:

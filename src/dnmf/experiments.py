@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS, Array, _checked_arrays, _checked_int
-from .dsp import _BLOCK, istft, mix_at_snr, output_snr, stft
+from .core import Array, _checked_arrays, _checked_int
+from .dsp import _BLOCK, _soft_mask, istft, mix_at_snr, output_snr, stft
 from .statespace import DnmfModel, FilterState, TrainConfig, concat_models, filter_stream, train
 
 __all__ = [
@@ -250,10 +250,10 @@ def separate_sources(
 
     One pass over 128-frame blocks filters each block's magnitudes (the
     filter history carries from block to block) and masks the block in place
-    by ``W1 h1 / max(W1 h1 + W2 h2, EPS)``, a real gain in [0, 1] that keeps
-    the mixture phase.  ``y1`` is the :func:`~dnmf.dsp.istft` of the masked
-    frames left in ``spec``; ``y2`` is the mixture's inverse minus ``y1``
-    (mixture consistency, Wisdom et al. 2019), or ``None`` if not ``both``.
+    by ``dsp._soft_mask``'s ``W1 h1 / max(W1 h1 + W2 h2, EPS)``, a real gain
+    in [0, 1] that keeps the mixture phase.  ``y1`` is the ``istft`` of the
+    masked frames left in ``spec``; ``y2`` is the mixture's inverse minus
+    ``y1`` (mixture consistency, Wisdom et al. 2019), or ``None`` if not ``both``.
     """
     y2 = istft(spec, hop) if both else None  # before the frames are masked
     state = FilterState(concat_models(model1, model2), anneal=anneal, inner_iters=inner_iters)
@@ -261,12 +261,8 @@ def separate_sources(
     for b in range(0, spec.shape[1], _BLOCK):
         cols = slice(b, b + _BLOCK)
         h = filter_stream(state, np.abs(spec[:, cols]))
-        est1, mask = model1.basis @ h[:n1], model2.basis @ h[n1:]
-        mask += est1
-        np.maximum(mask, EPS, out=mask)
-        np.divide(est1, mask, out=mask)
-        spec[:, cols] *= mask
-        del h, est1, mask
+        spec[:, cols] *= _soft_mask(model1.basis @ h[:n1], model2.basis @ h[n1:])
+        del h
     del state  # the filter and the last block's arrays are freed before the inverse
     y1 = istft(spec, hop)
     if y2 is not None:

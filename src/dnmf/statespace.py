@@ -11,15 +11,19 @@ vector-autoregressive prior with elementwise-exponential innovations:
 Training interleaves EM updates of the basis and coefficients with one
 multiplicative sweep on the lag matrices per iteration.  Filtering estimates
 ``h_t`` causally, one frame at a time: predict the coefficient mean from the
-stored history, start the EM refinement at that prediction, and anneal the
-prior toward uniform when several refinements are requested.
+stored history (all-ones at order 0, the padding for missing lags, so the
+static start is uniform and its prior mean ones), start the EM refinement at
+that prediction, and anneal the prior toward uniform when several refinements
+are requested.
 
 Training consumes frames at their natural scale, so energetic frames carry
 proportionally more weight in the basis and lag fits.  Filtering instead
 normalizes each incoming frame to unit mass: the count vector then sums to
 one regardless of frame energy, which gives the exponential prior's
-``1/eta`` term the same relative strength on every frame and keeps the
-tracking behaviour independent of the signal's loudness.
+``1/eta`` term the same relative strength on every frame.  The frame is first
+scaled by an exact power of two to a peak in [0.5, 1), so the ``EPS`` floor
+sees the same frame at any loudness: the coefficients are bit-identical
+wherever the scaled frame has no subnormal or infinite entry.
 """
 from __future__ import annotations
 
@@ -217,7 +221,8 @@ def solve_beta(c: Array, eta: Array, out: Array) -> float:
             q = c / d
             val = float(_sum(q, 0))
             if abs(val - 1.0) <= _BETA_TOL:
-                if d[d.argmin()] > _BETA_RESOLUTION * max(1.0, abs(beta)):
+                # beta - pole is the smallest denominator: both are fl(inv[k] + beta).
+                if beta - pole > _BETA_RESOLUTION * max(1.0, abs(beta)):
                     np.divide(q, val, out=out)
                     return beta
                 break
@@ -399,36 +404,35 @@ _INIT_FLOOR = 1e-4
 def filter_frame(state: FilterState, x: Array) -> Array:
     """Causally estimate one frame's coefficients and push them to history.
 
-    The incoming frame is normalized to unit mass.  The prediction from the
-    stored history (all-ones for missing lags; uniform when the model has no
-    dynamics) serves twice: floored at ``1e-4`` and put on the simplex, it is
-    the starting point of the EM refinement; floored at ``EPS`` and kept at
-    its natural scale, it is the annealing base ``b`` whose power
-    ``b ** (anneal / r)`` is the prior mean at inner iteration ``r``.  Later
-    iterations therefore approach the static (uniform-prior) update while
-    early ones stay close to the prediction; with the default single
-    refinement the prior mean is exactly ``b ** anneal``.  One loop runs the
-    ``inner_iters`` refinements: an E-step, whose responsibilities enter only
-    through their weighted column sums, then :func:`solve_beta`'s simplex
-    update (prior mean ones without dynamics: the normalized counts).
+    The incoming frame is scaled by a power of two to a peak in [0.5, 1),
+    floored at ``EPS`` and normalized to unit mass.  The prediction from the
+    stored history (all-ones for missing lags, and at order 0, whose start is
+    therefore uniform and whose prior mean is ones) serves twice: floored at
+    ``1e-4`` and put on the simplex, it is the starting point of the EM
+    refinement; floored at ``EPS`` and kept at its natural scale, it is the
+    annealing base ``b`` whose power ``b ** (anneal / r)`` is the prior mean
+    at inner iteration ``r``.  Later iterations therefore approach the static
+    (uniform-prior) update while early ones stay close to the prediction; with
+    the default single refinement the prior mean is exactly ``b ** anneal``.
+    One loop runs the ``inner_iters`` refinements: an E-step, whose
+    responsibilities enter only through their weighted column sums, then
+    :func:`solve_beta`'s simplex update (at order 0: the normalized counts).
 
     Precondition, checked by :func:`filter_stream` and not here: ``x`` is a
     1-D float64 frame of ``model.n_features`` finite, nonnegative entries.
     The estimate, on the simplex, is returned and shifted into the history.
     """
     model = state.model
-    xf = np.maximum(x, EPS)
+    # An exact power of two brings the peak to [0.5, 1), so loudness cannot move the floor.
+    xf = np.ldexp(x, -math.frexp(x[x.argmax()])[1])
+    np.maximum(xf, EPS, out=xf)
     xf /= _sum(xf, 0)
 
     order, w, anneal = model.order, model.basis, state.anneal
-    if order >= 1:
-        pred = state._lag_stack.dot(state.history.ravel())
-        base = np.maximum(pred, EPS)
-        h = np.maximum(pred, _INIT_FLOOR, out=pred)
-        h /= _sum(h, 0)
-    else:
-        base = np.ones(model.n_components)
-        h = np.full(model.n_components, 1.0 / model.n_components)
+    pred = state._lag_stack.dot(state.history.ravel()) if order else np.ones(model.n_components)
+    base = np.maximum(pred, EPS)
+    h = np.maximum(pred, _INIT_FLOOR, out=pred)
+    h /= _sum(h, 0)
     for r in range(1, state.inner_iters + 1):
         hs = np.maximum(h, EPS)
         # ndarray.dot is the same BLAS gemv as ``@``, with less dispatch; the

@@ -277,3 +277,29 @@ def test_solve_beta_is_the_only_simplex_update():
             if hit:
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node).splitlines()[0]}")
     assert calls >= 2 and found == []
+
+
+def _functions(module: str) -> dict[str, ast.FunctionDef]:
+    tree = ast.parse((SRC / "dnmf" / f"{module}.py").read_text(encoding="utf-8"))
+    return {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+
+
+def test_soft_mask_is_the_only_wiener_gain():
+    """Both separation paths take the Wiener gain from ``dsp._soft_mask``.
+
+    The test fails if ``wiener_reconstruct`` or ``separate_sources`` stops
+    calling it, or if ``dnmf.experiments`` reads ``EPS`` or calls ``maximum``
+    or ``divide``: a second floor and divide of the mask.
+    """
+    for module, name in (("dsp", "wiener_reconstruct"), ("experiments", "separate_sources")):
+        assert "_soft_mask" in _names_read(_functions(module)[name]), name
+    tree = ast.parse((SRC / "dnmf" / "experiments.py").read_text(encoding="utf-8"))
+    assert not {"EPS", "maximum", "divide"} & _names_read(tree)
+
+
+def test_filter_frame_starts_every_order_from_one_prediction():
+    """``filter_frame`` builds its start and prior base once, at every order:
+    no ``if``/``else`` statement (an order-0 start) and one ``_INIT_FLOOR`` read."""
+    body = _functions("statespace")["filter_frame"]
+    assert not [n for n in ast.walk(body) if isinstance(n, ast.If) and n.orelse]
+    assert sum(getattr(n, "id", None) == "_INIT_FLOOR" for n in ast.walk(body)) == 1

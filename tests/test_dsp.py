@@ -213,6 +213,38 @@ def test_output_snr_hand_value():
         assert output_snr(scale * clean, scale * noisy) == pytest.approx(20.0, abs=1e-12)
 
 
+def test_output_snr_of_a_difference_that_overflows():
+    # estimate - reference is -2e308 in every entry: the error carries four
+    # times the reference energy, -6.02 dB, with no float64 warning.
+    assert output_snr(np.full(4, 1e308), np.full(4, -1e308)) == pytest.approx(
+        10.0 * np.log10(0.25), abs=1e-12)
+    # One overflowing entry among ordinary ones: the error is -2e308 there.
+    reference, estimate = np.array([1e308, 1.0, 0.0]), np.array([-1e308, 1.0, 3.0])
+    assert output_snr(reference, estimate) == pytest.approx(10.0 * np.log10(0.25), abs=1e-12)
+
+
+def test_output_snr_of_a_ratio_outside_float64():
+    # er / ee is 1e320 (3200 dB) and about 1.3e-616 (-6159 dB): both lie
+    # outside float64, the SNRs do not.
+    assert output_snr(np.array([1e150, 0.0]), np.array([1e150, 1e-10])) == pytest.approx(
+        3200.0, abs=1e-9)
+    want = 20.0 * (np.log10(1.5e-154) - np.log10(1.3e154 - 1.5e-154))
+    assert output_snr(np.array([1.5e-154]), np.array([1.3e154])) == pytest.approx(want, abs=1e-9)
+    # A subnormal reference against an error whose energy overflows: pr / pe
+    # underflows to 0, and the SNR is about -12630 dB.
+    assert output_snr(np.array([5e-324]), np.array([1e308])) == pytest.approx(
+        20.0 * (np.log10(5e-324) - 308.0), abs=1e-9)
+
+
+def test_output_snr_keeps_the_plain_formula_bits():
+    rng = np.random.default_rng(31)
+    reference = rng.standard_normal(500)
+    estimate = reference + 0.3 * rng.standard_normal(500)
+    plain = 10.0 * np.log10(np.sum(reference * reference)
+                            / np.sum((estimate - reference) ** 2))
+    assert output_snr(reference, estimate) == plain
+
+
 def test_output_snr_perfect_estimate_is_infinite():
     ref = np.array([0.3, -0.2, 0.7])
     assert output_snr(ref, ref.copy()) == float("inf")

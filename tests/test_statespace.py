@@ -289,6 +289,15 @@ def test_solve_beta_count_below_an_ulp_of_the_pole_stays_off_the_pole():
     assert np.all(h >= 0.0) and abs(h.sum() - 1.0) <= 1e-12
 
 
+def test_solve_beta_converged_exit_next_to_the_pole_shares_the_deficit():
+    # Newton meets |g(beta) - 1| <= 1e-12 one ulp right of the pole -0.5,
+    # where the pole term's denominator is rounding error: the near-pole rule
+    # gives it the deficit (0) instead of 1e-40 / 5.6e-17 = 1.8e-24.
+    beta, h = _solve(np.array([1e-40, 0.5]), np.array([2.0, 1.0]))
+    assert beta == -0.49999999999999994
+    assert np.array_equal(h, [0.0, 1.0])
+
+
 # ---------------------------------------------------------------------------
 # single-frame EM update: the E-step's counts, then solve_beta's update
 
@@ -873,6 +882,72 @@ def test_filter_frame_scale_invariant():
         np.testing.assert_allclose(a, b, atol=1e-13)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(2, 20),
+    i=st.integers(1, 8),
+    order=st.integers(0, 2),
+    inner_iters=st.integers(1, 3),
+    n_frames=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_filter_stream_is_exactly_independent_of_loudness(
+    k, i, order, inner_iters, n_frames, seed, data
+):
+    """Every power of two ``s`` in 2**+-1000 for which ``s * frames`` has no
+    subnormal or infinite entry leaves the coefficients bit for bit alone."""
+    rng = np.random.default_rng(seed)
+    model = _random_model(rng, k=k, i=i, order=order)
+    frames = rng.uniform(0.0, 1.0, size=(k, n_frames)) * (rng.uniform(size=(k, n_frames)) < 0.6)
+    frames *= 10.0 ** rng.uniform(-100.0, 100.0, size=n_frames)
+    exponents = np.frexp(frames[frames > 0.0])[1]
+    if exponents.size:
+        # s * x = m * 2**(e + p) with m in [0.5, 1): normal while e + p >= -1021,
+        # finite while e + p <= 1024.
+        lo, hi = max(-1000, -1021 - exponents.min()), min(1000, 1024 - exponents.max())
+    else:
+        lo, hi = -1000, 1000
+    power = data.draw(st.integers(lo, hi), label="power")
+    scaled = np.ldexp(frames, power)
+    assert np.array_equal(np.ldexp(scaled, -power), frames)
+    want = filter_stream(FilterState(model, inner_iters=inner_iters), frames)
+    got = filter_stream(FilterState(model, inner_iters=inner_iters), scaled)
+    assert np.array_equal(got, want)
+
+
+def _near_identity(i, overlap):
+    """A column-stochastic basis: each column puts ``overlap`` on every other row."""
+    return (1.0 - (i - 1) * overlap) * np.eye(i) + overlap * (1.0 - np.eye(i))
+
+
+def test_decayed_component_returns_in_one_refinement_when_the_frame_needs_it():
+    # Component 0's prediction decayed to 1e-30; the frame is its column.  The
+    # floored start (1e-4) outweighs the other columns' overlap (2e-5) on that
+    # row, so one refinement hands component 0 most of the frame; from a start
+    # at the EPS floor it would stay below 1e-7.  A weak prior (anneal 0.01)
+    # leaves the outcome to the start.
+    model = DnmfModel(basis=_near_identity(3, 2e-5), lags=[np.eye(3)])
+    state = FilterState(model, anneal=0.01)
+    state.history[:] = [1e-30, 0.5, 0.5]
+    h = _filter_one(state, np.array([1.0, 0.0, 0.0]))
+    assert h[0] > 0.5
+
+
+def test_redundant_decayed_component_stays_at_the_floor():
+    # Components 0 and 1 share one column; 1 is predicted, 0 decayed to 1e-30.
+    # Frame after frame, 0 ends no higher than the floor of its start (or the
+    # E-step's EPS floor, if that is higher), however well its column fits.
+    basis = _near_identity(3, 0.0)
+    basis[:, :2] = [[0.5], [0.5], [0.0]]
+    state = FilterState(DnmfModel(basis=basis, lags=[np.eye(3)]))
+    state.history[:] = [1e-30, 0.5, 0.5]
+    for _ in range(10):
+        h = _filter_one(state, np.array([1.0, 1.0, 0.0]))
+        assert h[0] <= max(_INIT_FLOOR, EPS)
+        assert h[1] > 0.99
+
+
 def test_filter_frame_history_ring_buffer():
     rng = np.random.default_rng(76)
     model = _random_model(rng, k=5, i=2, order=3)
@@ -930,13 +1005,14 @@ def test_filter_stream_matches_frame_loop(order, inner_iters):
 
 
 def _filter_reference(model, frames, anneal, inner_iters):
-    """Per-frame filtering written out: each refinement is the E-step, then
+    """Per-frame filtering written out: each frame scaled by the power of two
+    that brings its peak to [0.5, 1), then each refinement is the E-step and
     ``solve_beta``'s update at every order (prior mean ones at order 0)."""
     order, rank = model.order, model.n_components
     history = np.ones((order, rank))
     out = np.empty((rank, frames.shape[1]))
     for t in range(frames.shape[1]):
-        xf = np.maximum(frames[:, t], EPS)
+        xf = np.maximum(frames[:, t] * 2.0 ** -np.frexp(frames[:, t].max())[1], EPS)
         xf = xf / xf.sum()
         base = np.ones(rank)
         h = base / base.sum()
