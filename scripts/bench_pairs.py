@@ -28,8 +28,10 @@ others with the bound of ``wall_s``.  Per-call minima can agree across runs
 where ``wall_s`` medians spread too widely to resolve a change.  ``machine``
 and ``commands`` are filled in too, and ``commits``: ``{"parent": ..., "change": ...}``,
 each checkout's ``git rev-parse HEAD``, or null where the checkout is not a git
-repository, and ``src_lines``: ``{"parent": ..., "change": ...}``, the total line
-count of each checkout's ``src/dnmf/*.py``, as ``wc -l`` counts it.
+repository, ``src_lines``: ``{"parent": ..., "change": ...}``, the total line
+count of each checkout's ``src/dnmf/*.py``, as ``wc -l`` counts it, and
+``src_lines_by_module``: the same count per file, ``{"parent": {"core.py": ...,
+...}, "change": {...}}``.
 "Better" and the bound of each metric come from the change checkout's
 ``BENCHMARK.json``.
 
@@ -82,9 +84,10 @@ def checkout_commit(checkout: Path) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def src_lines(checkout: Path) -> int:
-    """Newlines in ``checkout``'s ``src/dnmf/*.py``, summed: their ``wc -l`` total."""
-    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "dnmf").glob("*.py"))
+def src_lines_by_module(checkout: Path) -> dict[str, int]:
+    """Newlines in each of ``checkout``'s ``src/dnmf/*.py``, by file name: ``wc -l``."""
+    return {path.name: path.read_bytes().count(b"\n")
+            for path in sorted((checkout / "src" / "dnmf").glob("*.py"))}
 
 
 def cpu_model() -> str:
@@ -169,7 +172,8 @@ def main() -> int:
     doc["machine"] = {**{k: v for k, v in machine.items() if k != "loadavg_start"},
                       "cpu": cpu_model()}
     doc["commits"] = {side: checkout_commit(checkouts[side]) for side in SIDES}
-    doc["src_lines"] = {side: src_lines(checkouts[side]) for side in SIDES}
+    doc["src_lines_by_module"] = {side: src_lines_by_module(checkouts[side]) for side in SIDES}
+    doc["src_lines"] = {side: sum(doc["src_lines_by_module"][side].values()) for side in SIDES}
     order_note = ", ".join(f"{p['seed']} {p['first']} first" for p in pairs)
     doc.setdefault("commands", {})[f"{args.workload}_pairs"] = (
         f"python3 bench/run.py --workload {args.workload} --seed <seed> "

@@ -19,13 +19,9 @@ Array = np.ndarray
 # reciprocals finite in float64.
 EPS = 1e-12
 
-# Largest column-sum error that stochastic_matrix accepts.
-_STOCHASTIC_TOL = 1e-6
-
 __all__ = [
     "EPS",
     "nonneg_matrix",
-    "stochastic_matrix",
     "normalize_columns",
     "is_divergence",
 ]
@@ -77,18 +73,6 @@ def nonneg_matrix(data, name: str = "matrix") -> Array:
     arr = _checked_matrix(np.ascontiguousarray(data, dtype=np.float64), name)
     if arr.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    return arr
-
-
-def stochastic_matrix(data, name: str = "matrix") -> Array:
-    """Validate a column-stochastic matrix (nonnegative, columns sum to 1)."""
-    arr = nonneg_matrix(data, name=name)
-    sums = arr.sum(axis=0)
-    if np.any(np.abs(sums - 1.0) > _STOCHASTIC_TOL):
-        worst = float(np.max(np.abs(sums - 1.0)))
-        raise ValueError(
-            f"{name} is not column-stochastic (max column-sum error {worst:.3e})"
-        )
     return arr
 
 

@@ -196,41 +196,36 @@ def wiener_reconstruct(mix_mag: Array, est1: Array, est2: Array) -> tuple[Array,
     return part1, mix_mag - part1
 
 
-def _energy(a: Array) -> tuple[float, float]:
-    """``(peak, e)`` with ``peak ** 2 * e == sum(a * a)`` for finite ``a``: the plain
-    sum and peak 1 where that sum is a normal positive float64, else the energy
-    of ``a / max|a|``; ``(1.0, 0.0)`` for all-zero ``a``."""
-    with np.errstate(over="ignore"):
-        e = float(np.sum(a * a))
-    if _TINY <= e < math.inf or not a.any():
-        return 1.0, e
-    peak = float(np.max(np.abs(a)))
-    return peak, float(np.sum((a / peak) ** 2))
+def _energy(a: Array) -> tuple[int, float]:
+    """``(x, e)``: ``x`` the binary exponent of ``max|a|``, ``e`` in [0.25, a.size] the
+    energy of the exactly scaled ``a * 2 ** -x``; ``4 ** x * e`` is ``sum(a * a)`` bit for
+    bit where that sum and every square are normal; ``(0, 0.0)`` for all-zero ``a``."""
+    x = math.frexp(max(a.max(initial=0.0), -a.min(initial=0.0)))[1]
+    s = np.ldexp(a, -x)
+    s *= s
+    return x, float(np.sum(s))
 
 
 def output_snr(reference: Array, estimate: Array) -> float:
     """SNR in dB of an estimate against its reference; +inf for exact match.
     A non-finite entry or a shape mismatch raises ``ValueError`` naming the
-    argument.  Finite arrays of any magnitude score right, and the result is
-    finite unless the match is exact: within +-12632 dB plus ``10 log10`` of
-    the length, the span of float64 magnitudes."""
+    argument.  Energies keep their binary exponents apart (both arrays halved
+    where a peak reaches 2 ** 1023), so the result has the plain formula's bits
+    where its ratio is normal, stays put when both arrays are scaled by a power
+    of two that keeps every entry normal, and is finite unless the match is
+    exact: within +-12632 dB plus ``10 log10`` of the length."""
     reference, estimate = _checked_arrays(reference=reference, estimate=estimate)
-    pr, er = _energy(reference)
+    xr, er = _energy(reference)
     if er == 0.0:
         raise ValueError("reference signal has zero energy")
-    with np.errstate(over="ignore"):
-        error = estimate - reference
-    if not (-math.inf < error.min() and error.max() < math.inf):
-        # Halved, the difference is finite, and a quarter of er matches it.
-        error, er = 0.5 * estimate - 0.5 * reference, 0.25 * er
-    pe, ee = _energy(error)
+    x = max(xr, math.frexp(np.abs(estimate).max(initial=0.0))[1], 1023) - 1023
+    xe, ee = _energy(np.ldexp(estimate, -x) - np.ldexp(reference, -x))
     if ee == 0.0:
         return float("inf")
-    r, p = er / ee, pr / pe
-    if _TINY <= r < math.inf and _TINY <= p < math.inf:
-        return 10.0 * np.log10(r) + 20.0 * np.log10(p)
-    # A ratio outside the normal float64 range: the logarithms of its factors.
-    return 10.0 * (np.log10(er) - np.log10(ee)) + 20.0 * (np.log10(pr) - np.log10(pe))
+    q, d = er / ee, 2 * (xr - xe - x)  # the plain ratio is q * 2 ** d
+    if -1021 <= math.frexp(q)[1] + d <= 1024:  # a normal float64
+        return 10.0 * np.log10(np.ldexp(q, d))
+    return 10.0 * np.log10(q) + 10.0 * d * np.log10(2.0)
 
 
 def mix_at_snr(signal: Array, noise: Array, target_snr_db: float) -> Array:
@@ -250,22 +245,23 @@ def mix_at_snr(signal: Array, noise: Array, target_snr_db: float) -> Array:
     -------
     np.ndarray
         ``signal + scale * noise`` with the scale chosen so the realized SNR
-        matches the target to well under 1e-9 dB.  ``ValueError`` where the
-        scale is not a normal float64 or the mixture is not finite.
+        matches the target to well under 1e-9 dB (the plain formula's bits where
+        its energies are normal, exactly scaled with the arguments).  ``ValueError``
+        where the scale is not normal or the mixture is not finite.
     """
     signal, noise = _checked_arrays(signal=signal, noise=noise)
     (ps, es), (pn, en) = _energy(signal), _energy(noise)
     for name, e in (("signal", es), ("noise", en)):
         if e == 0.0:
             raise ValueError(f"{name} has zero energy")
-    # ps / pn * sqrt(es / (en * gain)) on its factors' significands, the powers of
-    # two summed apart: the formula's bits wherever its steps stay normal.
+    # 2 ** (ps - pn) * sqrt(es / (en * gain)) on significands, powers of two apart.
     with np.errstate(all="ignore"):  # float64 0, inf or nan: no Python error
         gain = np.float64(10.0) ** (target_snr_db / 10.0)
-        (ms, mn, mg, mps, mpn), (xs, xn, xg, xps, xpn) = np.frexp([es, en, gain, ps, pn])
+        (ms, mn, mg), (xs, xn, xg) = np.frexp([es, en, gain])
         x = xs - xn - xg
-        scale = np.ldexp(mps / mpn * np.sqrt(ms * 2.0 ** (x % 2) / (mn * mg)), xps - xpn + x // 2)
-        mixture = signal + scale * noise
+        scale = np.ldexp(np.sqrt(ms * 2.0 ** (x % 2) / (mn * mg)), ps - pn + x // 2)
+        mixture = scale * noise  # += signal: the same bits, one temporary fewer
+        mixture += signal
     if not (_TINY <= scale and -math.inf < mixture.min() and mixture.max() < math.inf):
         raise ValueError(
             f"target SNR {target_snr_db:g} dB needs a noise scale or a mixture outside float64")

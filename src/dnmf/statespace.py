@@ -34,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (EPS, Array, _checked_exponent, _checked_int, _checked_matrix, is_divergence,
-                   nonneg_matrix, normalize_columns, stochastic_matrix)
+                   nonneg_matrix, normalize_columns)
 from .plca import is_nmf_update_w
 
 __all__ = [
@@ -72,7 +72,10 @@ class DnmfModel:
     lags: list[Array] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.basis = stochastic_matrix(self.basis, name="basis")
+        self.basis = nonneg_matrix(self.basis, name="basis")
+        worst = float(np.max(np.abs(self.basis.sum(axis=0) - 1.0)))
+        if worst > _STOCHASTIC_TOL:
+            raise ValueError(f"basis is not column-stochastic (max column-sum error {worst:.3e})")
         i = self.n_components
         self.lags = [_checked_matrix(a, f"lag matrix {j + 1}", i, i)
                      for j, a in enumerate(self.lags)]
@@ -158,6 +161,7 @@ _BETA_TOL = 1e-12
 _BETA_MAX_ITER = 200
 # Relative bracket width at which solve_beta stops: a few ulps.
 _BETA_RESOLUTION = 8.0 * np.finfo(np.float64).eps
+_STOCHASTIC_TOL = 1e-6  # the largest column-sum error DnmfModel accepts in a basis
 
 # The ufunc reduction behind ndarray.sum, without the method wrapper.
 _sum = np.add.reduce
@@ -308,7 +312,11 @@ def train(
     matrices and the already-updated coefficients of earlier frames, and
     this prediction-driven update is the only sequential step.  The lags
     stay stacked as ``[A_J ... A_1]`` for the whole run and are split into
-    ``model.lags`` once, at the end.
+    ``model.lags`` once, at the end.  At order 0 every update normalizes its
+    counts, so ``x`` times a power of two that keeps every entry at least
+    ``EPS`` and overflows no step trains bit for bit alike.  At order >= 1
+    the fit depends on scale by design: the prior's weight is fixed, while
+    the data term grows with the data's mass.
 
     Parameters
     ----------

@@ -40,7 +40,6 @@ USER_API = {
 # Solver internals and helpers: importable from their modules, not the root.
 MODULE_ONLY = {
     "nonneg_matrix": "dnmf.core",
-    "stochastic_matrix": "dnmf.core",
     "normalize_columns": "dnmf.core",
     "is_nmf_update_w": "dnmf.plca",
     "wiener_reconstruct": "dnmf.dsp",

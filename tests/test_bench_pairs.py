@@ -82,6 +82,7 @@ def test_pairs_record_the_src_lines_of_each_checkout(bench_pairs, monkeypatch, t
                       _fake_run(lambda side, seed: "a", lambda side, seed: True))
     assert code == 0
     assert doc["src_lines"] == {"parent": 4, "change": 1}
+    assert doc["src_lines_by_module"] == {"parent": {"a.py": 3, "b.py": 1}, "change": {"a.py": 1}}
 
 
 def test_checkout_commit_reads_head(bench_pairs, tmp_path):

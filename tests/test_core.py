@@ -6,8 +6,8 @@ from dnmf.core import (
     is_divergence,
     nonneg_matrix,
     normalize_columns,
-    stochastic_matrix,
 )
+from dnmf.statespace import DnmfModel
 
 
 def test_nonneg_matrix_accepts_lists():
@@ -29,11 +29,11 @@ def test_nonneg_matrix_rejects_bad_inputs():
         nonneg_matrix([[np.inf, 1.0]])
 
 
-def test_stochastic_matrix_checks_column_sums():
+def test_dnmf_model_checks_basis_column_sums():
     good = np.array([[0.25, 0.5], [0.75, 0.5]])
-    np.testing.assert_array_equal(stochastic_matrix(good), good)
-    with pytest.raises(ValueError):
-        stochastic_matrix(np.array([[0.25, 0.5], [0.70, 0.5]]))
+    np.testing.assert_array_equal(DnmfModel(good).basis, good)
+    with pytest.raises(ValueError, match="not column-stochastic"):
+        DnmfModel(np.array([[0.25, 0.5], [0.70, 0.5]]))
 
 
 def test_normalize_columns_hand_case():

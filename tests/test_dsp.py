@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from dnmf.core import EPS
 from dnmf.dsp import (
     _WINSUM_CUTOFF,
     _check_hop,
+    _energy,
     _hann,
     istft,
     mix_at_snr,
@@ -236,6 +237,16 @@ def test_output_snr_of_a_ratio_outside_float64():
         20.0 * (np.log10(5e-324) - 308.0), abs=1e-9)
 
 
+def test_output_snr_keeps_an_error_far_below_the_peak():
+    # Errors more than 2 ** 1022 below the peak still score (12000 dB and
+    # 2146 * 10 log10(2) dB), where scaling both arrays to a peak below 1
+    # would round them to zero or to a neighbouring subnormal.
+    assert output_snr(np.array([1e300, 1e-300]), np.array([1e300, 2e-300])) == pytest.approx(
+        12000.0, abs=1e-9)
+    assert output_snr(np.array([1.0, 1.5e-323]), np.array([1.0, 5e-324])) == pytest.approx(
+        2146 * 10.0 * np.log10(2.0), abs=1e-9)
+
+
 def test_output_snr_keeps_the_plain_formula_bits():
     rng = np.random.default_rng(31)
     reference = rng.standard_normal(500)
@@ -348,6 +359,77 @@ def test_mix_at_snr_round_trip_at_any_float64_scale(data):
                  + 0.5 * np.log10(np.sum((signal / ps) ** 2) / np.sum((noise / pn) ** 2)))
     assume(abs(log_scale) <= 300.0)
     assert abs(output_snr(signal, mix_at_snr(signal, noise, target)) - target) <= 1e-9
+
+
+_NORMAL = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False)
+
+
+def _exponents(a):
+    """``frexp`` exponents of the nonzero entries of ``a``."""
+    return np.frexp(a[a != 0.0])[1]
+
+
+def _draw_shift(draw, exponents):
+    """A power ``k`` in [-1000, 1000] under which a float64 of each ``frexp``
+    exponent in ``exponents`` is normal and finite both as it is and scaled by
+    ``2 ** k``."""
+    lo = max(-1000, -1021 - exponents.min(initial=0))
+    hi = min(1000, 1024 - exponents.max(initial=0))
+    assume(lo <= 0 <= hi)
+    return draw(st.integers(lo, hi))
+
+
+def _draw_arrays(draw, count):
+    n = draw(st.integers(1, 8))
+    return [np.array(draw(st.lists(_NORMAL, min_size=n, max_size=n))) for _ in range(count)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_output_snr_is_loudness_independent(data):
+    """Both arrays times any power of two that keeps every entry normal: the same bits."""
+    reference, estimate = _draw_arrays(data.draw, 2)
+    assume(reference.any())
+    k = _draw_shift(data.draw, _exponents(np.concatenate([reference, estimate])))
+    assert output_snr(np.ldexp(reference, k), np.ldexp(estimate, k)) == output_snr(reference, estimate)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_mix_at_snr_is_loudness_independent(data):
+    """Signal and noise times any power of two that keeps every entry of them, of
+    the scaled noise and of the mixture normal: the mixture times that power."""
+    signal, noise = _draw_arrays(data.draw, 2)
+    assume(signal.any() and noise.any())
+    target = data.draw(st.floats(-100.0, 100.0))
+    try:
+        mixture = mix_at_snr(signal, noise, target)
+    except ValueError:
+        reject()
+    # The scaled noise's binary exponents, from the peak-scaled energies, with a margin of two.
+    ps, pn = np.abs(signal).max(), np.abs(noise).max()
+    log2_scale = (np.log2(ps) - np.log2(pn) - target / 20.0 * np.log2(10.0)
+                  + 0.5 * np.log2(np.sum((signal / ps) ** 2) / np.sum((noise / pn) ** 2)))
+    scaled_noise = _exponents(noise) + int(np.round(log2_scale))
+    k = _draw_shift(data.draw, np.concatenate([
+        _exponents(np.concatenate([signal, noise, mixture])), scaled_noise - 2, scaled_noise + 2]))
+    assert np.array_equal(mix_at_snr(np.ldexp(signal, k), np.ldexp(noise, k), target),
+                          np.ldexp(mixture, k))
+
+
+_ENTRY = st.one_of(st.just(0.0), st.floats(2.0**-500, 2.0**500), st.floats(-(2.0**500), -(2.0**-500)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ENTRY, min_size=1, max_size=40))
+def test_energy_keeps_the_plain_sum_bits(values):
+    """Where ``sum(a * a)`` and every nonzero square are normal, the scaled energy
+    times ``4 ** x`` is that sum bit for bit."""
+    a = np.array(values)
+    assume(a.any())
+    x, e = _energy(a)
+    assert 0.25 <= e <= a.size
+    assert np.ldexp(e, 2 * x) == np.sum(a * a)
 
 
 @pytest.mark.parametrize("fft_size, largest", [(1024, 1018), (512, 509), (128, 127), (16, 15)])

@@ -619,6 +619,23 @@ def test_train_deterministic_per_seed():
     assert not np.array_equal(m1.basis, m3.basis)
 
 
+def test_train_is_scale_free_at_order_0_only():
+    x = np.random.default_rng(64).uniform(0.5, 2.0, size=(20, 30))
+    static = TrainConfig(iters=15, prior_start=0)
+    model, h = train(x, 3, 0, static)
+    for k in (-30, -1, 2, 900):
+        scaled_model, scaled_h = train(np.ldexp(x, k), 3, 0, static)
+        np.testing.assert_array_equal(scaled_model.basis, model.basis)
+        np.testing.assert_array_equal(scaled_h, h)
+    # Entries below EPS are floored; entries near 2 ** 1021 overflow.
+    assert not np.array_equal(train(np.ldexp(x, -40), 3, 0, static)[1], h)
+    with pytest.raises(FloatingPointError):
+        train(np.ldexp(x, 1020), 3, 0, static)
+    # With a temporal prior of fixed weight, louder data moves the fit.
+    dynamic = TrainConfig(iters=15, prior_start=5)
+    assert not np.array_equal(train(4.0 * x, 3, 1, dynamic)[1], train(x, 3, 1, dynamic)[1])
+
+
 def test_train_improves_map_objective():
     rng = np.random.default_rng(63)
     x = rng.uniform(0.1, 1.0, size=(12, 30))
