@@ -167,8 +167,7 @@ def cmd_separate(args: argparse.Namespace) -> int:
     samples = np.pad(samples, (0, (fft_size - n) % hop))
     spec = stft(samples, fft_size, hop)
     del samples  # no signal-length array stays alive across the inverse transforms
-    out1, out2 = separate_sources(spec, model_a, model_b, hop, args.q, args.inner_iters,
-                                  both=args.out2 is not None)
+    out1, out2 = separate_sources(spec, model_a, model_b, hop, args.q, both=args.out2 is not None)
     del spec  # freed before write_wav makes its temporaries
     write_wav(args.out1, out1[:n], rate)
     if out2 is None:
@@ -207,7 +206,7 @@ def cmd_track(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.input}: tracking expects 8000 Hz, got {rate}")
     mag = np.abs(stft(samples, sc.fft_size, sc.hop))
     model = tracking_model(sc.fft_size // 2 + 1)
-    state = FilterState(model, anneal=args.q, inner_iters=args.inner_iters)
+    state = FilterState(model, anneal=args.q)
     omega = track_frequency(filter_stream(state, mag), sc.fft_size)
     rows = np.column_stack((np.arange(omega.size), omega))
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -252,7 +251,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model2", required=True)
     p.add_argument("--q", type=float, default=SeparationScenario.anneal, help="annealing exponent")
     p.add_argument("--hop", type=int, default=None, help="default: fft/4, at least 1")
-    p.add_argument("--inner-iters", type=int, default=1)
     p.add_argument("--out1", required=True)
     p.add_argument("--out2", required=True)
     p.set_defaults(func=cmd_separate)
@@ -263,7 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-model", dest="model2", metavar="NOISE_MODEL", required=True)
     p.add_argument("--q", type=float, default=0.3, help="annealing exponent")
     p.add_argument("--hop", type=int, default=None, help="default: fft/4, at least 1")
-    p.add_argument("--inner-iters", type=int, default=1)
     p.add_argument("--out", dest="out1", metavar="OUT", required=True)
     p.set_defaults(func=cmd_separate, out2=None)
 
@@ -284,7 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("track", help="dominant-frequency track of an 8 kHz WAV")
     p.add_argument("input", help="8 kHz mono WAV")
     p.add_argument("--q", type=float, default=_TRACK_ANNEAL, help="annealing exponent")
-    p.add_argument("--inner-iters", type=int, default=1)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_track)
 

@@ -218,7 +218,8 @@ def output_snr(reference: Array, estimate: Array) -> float:
     xr, er = _energy(reference)
     if er == 0.0:
         raise ValueError("reference signal has zero energy")
-    x = max(xr, math.frexp(np.abs(estimate).max(initial=0.0))[1], 1023) - 1023
+    pe = max(estimate.max(initial=0.0), -estimate.min(initial=0.0))
+    x = max(xr, math.frexp(pe)[1], 1023) - 1023
     xe, ee = _energy(np.ldexp(estimate, -x) - np.ldexp(reference, -x))
     if ee == 0.0:
         return float("inf")

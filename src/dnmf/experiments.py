@@ -47,10 +47,10 @@ class TrackingScenario:
     (1-based) out of ``n_frames`` non-overlapping analysis frames.
     """
 
-    fft_size: int = 128
-    hop: int = 128
-    freq_lo: float = 0.24
-    freq_hi: float = 2.9
+    fft_size = 128
+    hop = 128
+    freq_lo = 0.24
+    freq_hi = 2.9
     n_frames: int = 254
     peak_frame: int = 127
     snr_grid: tuple = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0)
@@ -73,15 +73,15 @@ class SeparationScenario:
     carry no ordering information.
     """
 
-    sample_rate: int = 16000
-    fft_size: int = 1024
-    hop: int = 256
+    sample_rate = 16000
+    fft_size = 1024
+    hop = 256
+    sweeps_hz = ((500.0, 3000.0), (1500.0, 5000.0))
+    anneal = 0.1
     duration: float = 1.0
-    sweeps_hz: tuple = ((500.0, 3000.0), (1500.0, 5000.0))
     rank: int = 50
     orders: tuple = (0, 1, 2, 3, 4, 5)
     mix_snr_db: float = 0.0
-    anneal: float = 0.1
 
 
 @dataclass
@@ -97,7 +97,7 @@ class ReportRow:
 
 @dataclass
 class ExperimentReport:
-    rows: list[ReportRow] = field(default_factory=list)
+    rows: list[ReportRow] = field(default_factory=list, init=False)
 
     def add(self, **kwargs) -> None:
         self.rows.append(ReportRow(**kwargs))
@@ -148,7 +148,7 @@ def gen_swept_sinusoid(scenario: TrackingScenario) -> tuple[Array, Array]:
     return signal, truths
 
 
-def tracking_model(n_bins: int = 65) -> DnmfModel:
+def tracking_model(n_bins: int) -> DnmfModel:
     """Fixed identity-basis model whose single lag smooths across neighbors.
 
     The basis maps component i to frequency bin i one-to-one; the lag matrix
@@ -162,7 +162,7 @@ def tracking_model(n_bins: int = 65) -> DnmfModel:
     return DnmfModel(basis=np.eye(n_bins), lags=[lag])
 
 
-def track_frequency(h: Array, fft_size: int = 128) -> float | Array:
+def track_frequency(h: Array, fft_size: int) -> float | Array:
     """Frequency readout: the bin of the largest coefficient, in radians per
     sample (ties resolve to the lower bin).
 

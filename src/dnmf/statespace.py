@@ -412,30 +412,26 @@ _INIT_FLOOR = 1e-4
 def filter_frame(state: FilterState, x: Array) -> Array:
     """Causally estimate one frame's coefficients and push them to history.
 
-    The incoming frame is scaled by a power of two to a peak in [0.5, 1),
-    floored at ``EPS`` and normalized to unit mass.  The prediction from the
-    stored history (all-ones for missing lags, and at order 0, whose start is
-    therefore uniform and whose prior mean is ones) serves twice: floored at
-    ``1e-4`` and put on the simplex, it is the starting point of the EM
-    refinement; floored at ``EPS`` and kept at its natural scale, it is the
-    annealing base ``b`` whose power ``b ** (anneal / r)`` is the prior mean
-    at inner iteration ``r``.  Later iterations therefore approach the static
-    (uniform-prior) update while early ones stay close to the prediction; with
-    the default single refinement the prior mean is exactly ``b ** anneal``.
-    One loop runs the ``inner_iters`` refinements: an E-step, whose
-    responsibilities enter only through their weighted column sums, then
-    :func:`solve_beta`'s simplex update (at order 0: the normalized counts).
+    The frame ``x`` comes prepared by :func:`filter_stream`: scaled by a power
+    of two to a peak in [0.5, 1), floored at ``EPS`` and put at unit mass.
+    The prediction from the stored history (all-ones for missing lags, and at
+    order 0, whose start is therefore uniform and whose prior mean is ones)
+    serves twice: floored at ``1e-4`` and put on the simplex, it is the
+    starting point of the EM refinement; floored at ``EPS`` and kept at its
+    natural scale, it is the annealing base ``b`` whose power ``b ** (anneal
+    / r)`` is the prior mean at inner iteration ``r``.  Later iterations
+    therefore approach the static (uniform-prior) update while early ones stay
+    close to the prediction; with the default single refinement the prior
+    mean is exactly ``b ** anneal``.  One loop runs the ``inner_iters``
+    refinements: an E-step, whose responsibilities enter only through their
+    weighted column sums, then :func:`solve_beta`'s simplex update (at order
+    0: the normalized counts).
 
-    Precondition, checked by :func:`filter_stream` and not here: ``x`` is a
-    1-D float64 frame of ``model.n_features`` finite, nonnegative entries.
-    The estimate, on the simplex, is returned and shifted into the history.
+    Precondition, met by :func:`filter_stream` and not checked here: ``x`` is
+    such a frame, contiguous, of ``model.n_features`` float64 entries.  The
+    estimate, on the simplex, is returned and shifted into the history.
     """
     model = state.model
-    # An exact power of two brings the peak to [0.5, 1), so loudness cannot move the floor.
-    xf = np.ldexp(x, -math.frexp(x[x.argmax()])[1])
-    np.maximum(xf, EPS, out=xf)
-    xf /= _sum(xf, 0)
-
     order, w, anneal = model.order, model.basis, state.anneal
     pred = state._lag_stack.dot(state.history.ravel()) if order else np.ones(model.n_components)
     base = np.maximum(pred, EPS)
@@ -447,7 +443,7 @@ def filter_frame(state: FilterState, x: Array) -> Array:
         # second product is ``w.T @ ratio``.
         ratio = w.dot(hs)
         np.maximum(ratio, EPS, out=ratio)
-        np.divide(xf, ratio, out=ratio)
+        np.divide(x, ratio, out=ratio)
         c = ratio.dot(w)
         c *= hs
         solve_beta(c, base ** (anneal / r) if order else base, hs)
@@ -462,7 +458,8 @@ def filter_stream(state: FilterState, frames: Array) -> Array:
     """Filter every column of ``frames`` in order with :func:`filter_frame`.
 
     The stream continues ``state``'s history, so filtering a stream in two
-    calls gives the same coefficients as filtering it in one.
+    calls gives the same coefficients as filtering it in one.  Each call
+    prepares its frames at once, in one ``(n_frames, n_features)`` copy.
 
     Parameters
     ----------
@@ -492,8 +489,13 @@ def filter_stream(state: FilterState, frames: Array) -> Array:
     frames = _checked_matrix(frames, "frames", state.model.n_features)
     h = np.empty((state.model.n_components, frames.shape[1]))
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        for t in range(frames.shape[1]):
-            h[:, t] = filter_frame(state, frames[:, t])
+        # A contiguous row per frame sums pairwise as a 1-D frame does; an exact
+        # power of two brings each peak to [0.5, 1), so loudness cannot move EPS.
+        rows = np.ldexp(frames.T, -np.frexp(frames.max(axis=0))[1][:, None], order="C")
+        np.maximum(rows, EPS, out=rows)
+        rows /= rows.sum(axis=1, keepdims=True)
+        for t, x in enumerate(rows):
+            h[:, t] = filter_frame(state, x)
     return h
 
 

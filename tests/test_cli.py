@@ -1,6 +1,5 @@
 import contextlib
 import dataclasses
-import functools
 import io
 import json
 import os
@@ -24,7 +23,8 @@ import dnmf.experiments
 from dnmf.cli import load_model, main, save_model
 from dnmf.core import normalize_columns
 from dnmf.dsp import istft, mix_at_snr, stft
-from dnmf.experiments import SeparationScenario, TrackingScenario, gen_chirp_pair
+from dnmf.experiments import (ExperimentReport, SeparationScenario, TrackingScenario,
+                              gen_chirp_pair)
 from dnmf.statespace import FilterState, TrainConfig, filter_stream, train
 from dnmf.wav import read_wav, write_wav
 from test_statespace import _sparse_problem
@@ -1055,8 +1055,7 @@ def test_train_numeric_flags_fail_cleanly(flags):
 
 @settings(max_examples=40, deadline=None)
 @given(command=st.sampled_from(["separate", "denoise"]),
-       flags=st.fixed_dictionaries({}, optional={"q": _FLOATS, "hop": _HOPS,
-                                                 "inner-iters": _COUNTS}))
+       flags=st.fixed_dictionaries({}, optional={"q": _FLOATS, "hop": _HOPS}))
 def test_separate_and_denoise_numeric_flags_fail_cleanly(command, flags):
     with tempfile.TemporaryDirectory() as tmp:
         rng = np.random.default_rng(17)
@@ -1076,13 +1075,18 @@ def test_separate_and_denoise_numeric_flags_fail_cleanly(command, flags):
 
 
 # The experiment flags are checked on scaled-down scenarios, so that each
-# example runs in milliseconds.
-_TINY_TRACKING = functools.partial(TrackingScenario, fft_size=16, hop=16, n_frames=8,
-                                   peak_frame=4, snr_grid=(0.0, 10.0), runs=2)
+# example runs in milliseconds.  Subclasses, not partials: the frame grid is a
+# class constant, and the parser reads the `separate --q` default from the class.
+@dataclasses.dataclass
+class _TinyTracking(TrackingScenario):
+    fft_size = 16
+    hop = 16
+    n_frames: int = 8
+    peak_frame: int = 4
+    snr_grid: tuple = (0.0, 10.0)
+    runs: int = 2
 
 
-# A subclass, not a partial: the parser reads the `separate --q` default from
-# the class.
 @dataclasses.dataclass
 class _TinySeparation(SeparationScenario):
     duration: float = 0.1
@@ -1099,7 +1103,7 @@ class _TinySeparation(SeparationScenario):
 def test_experiment_numeric_flags_fail_cleanly(scenario, flags):
     with tempfile.TemporaryDirectory() as tmp:
         csv = Path(tmp) / "out.csv"
-        with mock.patch.object(dnmf.cli, "TrackingScenario", _TINY_TRACKING), \
+        with mock.patch.object(dnmf.cli, "TrackingScenario", _TinyTracking), \
                 mock.patch.object(dnmf.cli, "SeparationScenario", _TinySeparation):
             code, err = _run_flags(
                 ["experiment", "--scenario", scenario, "--csv", str(csv)], flags)
@@ -1136,8 +1140,7 @@ def test_train_size_and_seed_flags_fail_cleanly(flags):
 
 
 @settings(max_examples=40, deadline=None)
-@given(flags=st.fixed_dictionaries({}, optional={
-    "q": _FLOATS, "inner-iters": st.one_of(_COUNTS, _NOT_INTS)}))
+@given(flags=st.fixed_dictionaries({}, optional={"q": _FLOATS}))
 def test_track_numeric_flags_fail_cleanly(flags):
     with tempfile.TemporaryDirectory() as tmp:
         wav, out = Path(tmp) / "in.wav", Path(tmp) / "track.csv"
@@ -1153,8 +1156,8 @@ def test_track_numeric_flags_fail_cleanly(flags):
      "error: dnmf train: argument --fft: invalid int value: '1e308'"),
     (["train", "x.wav", "--rank", "2", "--seed=inf", "--out", "m.json"],
      "error: dnmf train: argument --seed: invalid int value: 'inf'"),
-    (["track", "x.wav", "--inner-iters=5e-324", "--out", "t.csv"],
-     "error: dnmf track: argument --inner-iters: invalid int value: '5e-324'"),
+    (["track", "x.wav", "--q=0x10", "--out", "t.csv"],
+     "error: dnmf track: argument --q: invalid float value: '0x10'"),
     (["train", "x.wav", "--out", "m.json"],
      "error: dnmf train: the following arguments are required: --rank"),
     (["separate", "--mixture", "x.wav"], "error: dnmf separate: the following arguments"),
@@ -1170,6 +1173,32 @@ def test_bad_command_line_is_one_error_line(tmp_path, capsys, monkeypatch, argv,
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith(message), err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_no_setting_without_a_caller(tmp_path, capsys, monkeypatch):
+    # The scenarios take only the fields some caller sets: frame grids,
+    # sweeps and annealing are class constants, and the commands that filter
+    # run one refinement per frame, with no --inner-iters.
+    def fields(cls):
+        return [f.name for f in dataclasses.fields(cls) if f.init]
+
+    assert fields(TrackingScenario) == ["n_frames", "peak_frame", "snr_grid", "runs"]
+    assert fields(SeparationScenario) == ["duration", "rank", "orders", "mix_snr_db"]
+    assert fields(ExperimentReport) == [] and ExperimentReport().rows == []
+    for make in (lambda: TrackingScenario(fft_size=256), lambda: ExperimentReport(rows=[]),
+                 lambda: SeparationScenario(sample_rate=8000)):
+        with pytest.raises(TypeError):
+            make()
+    assert TrackingScenario().fft_size == 128 and SeparationScenario.anneal == 0.1
+    monkeypatch.chdir(tmp_path)
+    for argv in (["separate", "--mixture", "x.wav", "--model1", "a.json", "--model2",
+                  "b.json", "--out1", "1.wav", "--out2", "2.wav"],
+                 ["denoise", "--input", "x.wav", "--speech-model", "a.json",
+                  "--noise-model", "b.json", "--out", "1.wav"],
+                 ["track", "x.wav", "--out", "t.csv"]):
+        assert main(argv + ["--inner-iters", "2"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: dnmf: unrecognized arguments: --inner-iters 2"], argv
 
 
 @pytest.mark.parametrize("command", ["train", "separate", "denoise", "experiment", "track"])

@@ -965,6 +965,22 @@ def test_redundant_decayed_component_stays_at_the_floor():
         assert h[1] > 0.99
 
 
+def test_filter_start_floors_the_prediction_at_1e_4():
+    # One order-1 step from a prediction with one component below the 1e-4
+    # start floor (5e-5) and one above it (5e-4), against a start built from
+    # the literal 1e-4: a floor of 1e-3 would lift the second component, one
+    # of 1e-5 would leave the first below 1e-4, and either changes the bits.
+    model = DnmfModel(basis=_near_identity(3, 0.1), lags=[np.eye(3)])
+    state = FilterState(model, anneal=0.5)
+    pred = np.array([5e-5, 5e-4, 1.0 - 5.5e-4])  # the identity lag predicts the history
+    state.history[:] = pred
+    x = np.array([0.3, 0.5, 0.2])  # peak in [0.5, 1): no scaling, no EPS floor
+    start = np.maximum(pred, 1e-4)
+    want = _solve(_counts(x / x.sum(), model.basis, start / start.sum()),
+                  np.maximum(pred, EPS) ** 0.5)[1]
+    assert np.array_equal(_filter_one(state, x), want)
+
+
 def test_filter_frame_history_ring_buffer():
     rng = np.random.default_rng(76)
     model = _random_model(rng, k=5, i=2, order=3)
