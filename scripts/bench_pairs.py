@@ -35,6 +35,10 @@ count of each checkout's ``src/dnmf/*.py``, as ``wc -l`` counts it, and
 "Better" and the bound of each metric come from the change checkout's
 ``BENCHMARK.json``.
 
+At exit the script prints one stderr line per summarised metric, such as
+``track_mc.wall_s: parent 0.778 change 0.514, wins 10/10, gain_resolved true,
+worse_beyond_bound false``, so that a claim can be read from the run's log.
+
 The script exits 1, after writing the file, when any run reported
 ``"correct": false``.
 """
@@ -130,6 +134,16 @@ def summarise(pairs: list[dict], spec: dict[str, dict]) -> dict:
     return summary
 
 
+def summary_lines(summary: dict) -> list[str]:
+    """One line per metric row of ``summary``: both medians, the change's
+    wins out of the pairs, ``gain_resolved`` and ``worse_beyond_bound``."""
+    return [f"{metric}: parent {row['parent']['median']:.6g} change {row['change']['median']:.6g}, "
+            f"wins {row['change_wins']}/{row['pairs']}, "
+            f"gain_resolved {str(row['gain_resolved']).lower()}, "
+            f"worse_beyond_bound {str(row['worse_beyond_bound']).lower()}"
+            for metric, row in summary.items() if metric != "outputs_identical"]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -181,6 +195,8 @@ def main() -> int:
     doc[f"{args.workload}_summary"] = summarise(pairs, metrics)
     doc[f"{args.workload}_pairs"] = pairs
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    for line in summary_lines(doc[f"{args.workload}_summary"]):
+        print(line, file=sys.stderr)
     if failed:
         print(f"error: {failed} run(s) reported problems; see {args.out}", file=sys.stderr)
         return 1

@@ -44,7 +44,10 @@ class TrackingScenario:
 
     The instantaneous frequency rises from ``freq_lo`` to ``freq_hi`` (radians
     per sample) and back, peaking at the center of frame ``peak_frame``
-    (1-based) out of ``n_frames`` non-overlapping analysis frames.
+    (1-based) out of ``n_frames`` non-overlapping analysis frames.  An
+    ``n_frames`` that is not an integer of at least 1, a ``peak_frame`` that
+    is not an integer in ``[1, n_frames]`` or a ``runs`` that is not an
+    integer of at least 1 raises ``ValueError``.
     """
 
     fft_size = 128
@@ -57,6 +60,11 @@ class TrackingScenario:
     runs: int = 50
 
     def __post_init__(self) -> None:
+        self.n_frames = _checked_int(self.n_frames, "n_frames", 1)
+        self.peak_frame = _checked_int(self.peak_frame, "peak_frame", 1)
+        if self.peak_frame > self.n_frames:
+            raise ValueError(f"peak_frame {self.peak_frame} must lie in "
+                             f"[1, n_frames={self.n_frames}]")
         self.runs = _checked_int(self.runs, "runs", 1)
 
 

@@ -132,6 +132,10 @@ class FilterState:
     ones (the padding for missing lags).  The lags are stacked once, here,
     as ``[A_J ... A_1]``, so a prediction is one matvec with the raveled
     history, and later changes to ``model.lags`` do not reach the state.
+    The basis is read once too: the state notes here whether it is the
+    identity (square, ones on the diagonal, exact zeros elsewhere), whose
+    E-step :func:`filter_frame` forms without the two basis products, and
+    later edits of ``model.basis`` do not change that choice.
     Filtering is fully deterministic: identical state and identical frames
     produce bit-identical coefficient streams.  ``ValueError`` is raised for
     an ``anneal`` outside (0, 1] or an ``inner_iters`` that is not an integer
@@ -144,6 +148,8 @@ class FilterState:
         self.model = model
         self.history = np.ones((model.order, model.n_components))
         self._lag_stack = _stack_lags(model.lags) if model.order else None
+        w = model.basis
+        self._identity = w.shape[0] == w.shape[1] and np.array_equal(w, np.eye(w.shape[0]))
 
 
 def _stack_lags(lags) -> Array:
@@ -425,14 +431,19 @@ def filter_frame(state: FilterState, x: Array) -> Array:
     mean is exactly ``b ** anneal``.  One loop runs the ``inner_iters``
     refinements: an E-step, whose responsibilities enter only through their
     weighted column sums, then :func:`solve_beta`'s simplex update (at order
-    0: the normalized counts).
+    0: the normalized counts).  Under the identity basis that
+    :class:`FilterState` found, the E-step's counts are ``(x / hs) * hs``
+    with ``hs`` the floored coefficients: ``W @ hs`` is ``hs`` and ``r @ W``
+    is ``r`` bit for bit, since every other term is an exact zero, and
+    ``hs`` is floored at ``EPS`` already.  Every other basis runs both
+    products and the ``EPS`` floor of ``W @ hs``.
 
     Precondition, met by :func:`filter_stream` and not checked here: ``x`` is
     such a frame, contiguous, of ``model.n_features`` float64 entries.  The
     estimate, on the simplex, is returned and shifted into the history.
     """
     model = state.model
-    order, w, anneal = model.order, model.basis, state.anneal
+    order, w, anneal, identity = model.order, model.basis, state.anneal, state._identity
     pred = state._lag_stack.dot(state.history.ravel()) if order else np.ones(model.n_components)
     base = np.maximum(pred, EPS)
     h = np.maximum(pred, _INIT_FLOOR, out=pred)
@@ -440,11 +451,13 @@ def filter_frame(state: FilterState, x: Array) -> Array:
     for r in range(1, state.inner_iters + 1):
         hs = np.maximum(h, EPS)
         # ndarray.dot is the same BLAS gemv as ``@``, with less dispatch; the
-        # second product is ``w.T @ ratio``.
-        ratio = w.dot(hs)
-        np.maximum(ratio, EPS, out=ratio)
-        np.divide(x, ratio, out=ratio)
-        c = ratio.dot(w)
+        # second product is ``w.T @ ratio``.  Under the identity basis both
+        # products and the floor change nothing (``hs`` is floored), so go.
+        c = x / hs if identity else w.dot(hs)
+        if not identity:
+            np.maximum(c, EPS, out=c)
+            np.divide(x, c, out=c)
+            c = c.dot(w)
         c *= hs
         solve_beta(c, base ** (anneal / r) if order else base, hs)
         h = hs

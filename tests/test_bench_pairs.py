@@ -1,6 +1,6 @@
 """``scripts/bench_pairs.py``: output identity per pair, the bound check, the
 resolved-gain check, the per-call minima, the commits and source line counts
-compared and the exit code."""
+compared, the summary lines printed at exit and the exit code."""
 import importlib.util
 import json
 import subprocess
@@ -183,3 +183,24 @@ def test_summary_bounds_per_call_minima_by_wall_s(bench_pairs, shift, worse, res
     assert row["bound"] == 0.25
     assert row["worse_beyond_bound"] is worse
     assert row["gain_resolved"] is resolved
+
+
+def test_main_prints_one_summary_line_per_metric(bench_pairs, monkeypatch, tmp_path, capsys):
+    code, _ = _main(bench_pairs, monkeypatch, tmp_path,
+                    _fake_run(lambda side, seed: "a", lambda side, seed: True))
+    assert code == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[-2:] == [
+        "wall_s: parent 1 change 0.5, wins 4/4, gain_resolved true, worse_beyond_bound false",
+        "track_mc.wall_s_call_min: parent 0.9 change 0.5, wins 4/4, gain_resolved true, "
+        "worse_beyond_bound false",
+    ]
+
+
+def test_summary_lines_report_a_loss_beyond_the_bound(bench_pairs):
+    spec = {"wall_s": {"name": "wall_s", "better": "lower", "bound": 0.25}}
+    summary = bench_pairs.summarise(
+        _pairs("separate_wav.wall_s", [0.9, 1.0, 1.1], [0.8, 1.3, 1.4]), spec)
+    assert bench_pairs.summary_lines(summary) == [
+        "separate_wav.wall_s: parent 1 change 1.3, wins 1/3, gain_resolved false, "
+        "worse_beyond_bound true"]

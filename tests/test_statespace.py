@@ -1072,13 +1072,17 @@ def _filter_reference(model, frames, anneal, inner_iters):
     anneal=st.floats(0.0, 1.0, exclude_min=True),
     n_frames=st.integers(1, 12),
     seed=st.integers(0, 2**32 - 1),
+    identity=st.booleans(),
     data=st.data(),
 )
 def test_filter_stream_matches_per_frame_reference(
-    k, i, order, inner_iters, anneal, n_frames, seed, data
+    k, i, order, inner_iters, anneal, n_frames, seed, identity, data
 ):
     rng = np.random.default_rng(seed)
-    basis = normalize_columns(rng.uniform(0.05, 1.0, size=(k, i)))
+    # The identity basis takes filter_frame's E-step without basis products;
+    # the reference runs both products on it.
+    basis = np.eye(i) if identity else normalize_columns(rng.uniform(0.05, 1.0, size=(k, i)))
+    k = basis.shape[0]
     lags = [rng.uniform(0.0, 0.9, size=(i, i)) * (rng.uniform(size=(i, i)) < 0.7)
             for _ in range(order)]
     model = DnmfModel(basis=basis, lags=lags)
@@ -1086,12 +1090,46 @@ def test_filter_stream_matches_per_frame_reference(
     frames = rng.uniform(0.0, 1.0, size=(k, n_frames)) * (rng.uniform(size=(k, n_frames)) < 0.6)
     frames[:, rng.uniform(size=n_frames) < 0.1] = 0.0
     frames *= 10.0 ** rng.uniform(-100.0, 100.0, size=n_frames)
+    # Entries below each frame's peak that its power-of-two scaling puts at
+    # EPS or at half of it.
+    scale = 2.0 ** np.frexp(frames.max(axis=0))[1]
+    tiny = (rng.uniform(size=(k, n_frames)) < 0.2) & (frames < frames.max(axis=0))
+    frames[tiny] = (scale * rng.choice([EPS, 0.5 * EPS], size=(k, n_frames)))[tiny]
     split = data.draw(st.integers(0, n_frames), label="split")
     state = FilterState(model, anneal=anneal, inner_iters=inner_iters)
+    assert state._identity is identity
     got = np.hstack([filter_stream(state, frames[:, :split]), filter_stream(state, frames[:, split:])])
     assert np.array_equal(got, _filter_reference(model, frames, anneal, inner_iters))
     assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
     np.testing.assert_allclose(got.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("order", [0, 2])
+def test_filter_stream_takes_the_dense_e_step_for_a_permutation_basis(order):
+    # Square, column-stochastic and with exact zeros, but not the identity.
+    rng = np.random.default_rng(84)
+    lags = [rng.uniform(0.1, 0.9, size=(5, 5)) for _ in range(order)]
+    model = DnmfModel(basis=np.eye(5)[:, [1, 0, 2, 4, 3]], lags=lags)
+    frames = rng.uniform(0.0, 1.0, size=(5, 9))
+    frames[1, 2] = 0.0
+    state = FilterState(model, anneal=0.3, inner_iters=2)
+    assert state._identity is False
+    got = filter_stream(state, frames)
+    assert np.array_equal(got, _filter_reference(model, frames, 0.3, 2))
+    assert not np.array_equal(got, filter_stream(FilterState(DnmfModel(np.eye(5), lags),
+                                                             anneal=0.3, inner_iters=2), frames))
+
+
+def test_filter_state_reads_the_basis_once_without_an_identity_for_other_shapes(monkeypatch):
+    rng = np.random.default_rng(85)
+    tall, square = _random_model(rng, k=5, i=3), DnmfModel(basis=np.eye(3))
+    monkeypatch.setattr(np, "eye", lambda *a, **k: pytest.fail("np.eye for a 5x3 basis"))
+    assert FilterState(tall)._identity is False
+    monkeypatch.undo()
+    state = FilterState(square)
+    square.basis = np.eye(3)[:, ::-1].copy()  # a later edit does not move the path
+    assert state._identity is True
+    assert FilterState(square)._identity is False
 
 
 def _filter_static_reference(model, frames, anneal, inner_iters):
@@ -1367,6 +1405,10 @@ def _scalar_calls():
         "FilterState inner_iters": (lambda v: FilterState(model, inner_iters=v),
                                     "inner_iters", 1),
         "TrackingScenario runs": (lambda v: TrackingScenario(runs=v), "runs", 1),
+        "TrackingScenario n_frames": (lambda v: TrackingScenario(n_frames=v, peak_frame=1),
+                                      "n_frames", 1),
+        "TrackingScenario peak_frame": (lambda v: TrackingScenario(peak_frame=v),
+                                        "peak_frame", 1),
         "stft hop": (lambda v: stft(signal, 16, v), "hop", 1),
         "istft hop": (lambda v: istft(frames, v), "hop", 1),
         "_check_hop": (lambda v: _check_hop(16, v), "hop", 1),
@@ -1385,6 +1427,9 @@ def _scalar_calls():
 @example(entry="FilterState inner_iters", value=True)
 @example(entry="FilterState inner_iters", value=np.int64(2))
 @example(entry="stft hop", value=2.5)
+@example(entry="TrackingScenario n_frames", value=0)
+@example(entry="TrackingScenario peak_frame", value=0)
+@example(entry="TrackingScenario peak_frame", value=1.5)
 def test_public_boundary_rejects_bad_scalars_with_value_error(entry, value):
     """A size, count, seed or hop that is not an integer of its minimum (a
     ``bool``, a float such as ``2.0``, NaN or a string included), or an
@@ -1402,3 +1447,11 @@ def test_public_boundary_rejects_bad_scalars_with_value_error(entry, value):
     with pytest.raises(ValueError, match=re.escape(f"{name} {value!r} ")):
         call(value)
     assert np.array_equal(state.history, history)
+
+
+@pytest.mark.parametrize("n_frames, peak_frame", [(10, 11), (254, 300), (1, 2)])
+def test_tracking_scenario_rejects_a_peak_after_the_last_frame(n_frames, peak_frame):
+    with pytest.raises(ValueError, match=re.escape(f"peak_frame {peak_frame} must lie in ")):
+        TrackingScenario(n_frames=n_frames, peak_frame=peak_frame)
+    sc = TrackingScenario(n_frames=n_frames, peak_frame=n_frames)
+    assert (sc.n_frames, sc.peak_frame) == (n_frames, n_frames)
