@@ -16,12 +16,14 @@ holds: ``<workload>_pairs`` (every run's result, the order it ran in and the
 output fingerprints, and ``outputs_identical``: whether both sides wrote the
 same bytes) and ``<workload>_summary`` (per metric and side: median, quartiles,
 min and max, plus the number of pairs the change won, ties counting for
-neither, the metric's ``bound`` and ``worse_beyond_bound``: whether the
-change's median is worse than the parent's by more than ``bound`` times the
-parent's median, and ``gain_resolved``: whether the change won at least 9 in
-10 of the pairs and its median is better than the parent's by more than the
-parent's ``q3 - q1``; under ``outputs_identical``, how many pairs wrote
-identical outputs).  Each run's result also gets one
+neither, ``relative_change``: the signed change of the medians as a fraction
+of the parent's (null where the parent's median is 0), the metric's
+``bound`` and ``worse_beyond_bound``: whether the change's median is worse
+than the parent's by more than ``bound`` times the parent's median, and
+``gain_resolved``: whether the change won at least 9 in 10 of the pairs and
+its median is better than the parent's by more than the parent's
+``q3 - q1``; under ``outputs_identical``, how many pairs wrote identical
+outputs).  Each run's result also gets one
 ``<workload>.wall_s_call_min`` metric per workload: its fastest call, read
 from the ``wall_samples_s`` of its ``detail`` line and summarised like the
 others with the bound of ``wall_s``.  Per-call minima can agree across runs
@@ -36,8 +38,9 @@ count of each checkout's ``src/dnmf/*.py``, as ``wc -l`` counts it, and
 ``BENCHMARK.json``.
 
 At exit the script prints one stderr line per summarised metric, such as
-``track_mc.wall_s: parent 0.778 change 0.514, wins 10/10, gain_resolved true,
-worse_beyond_bound false``, so that a claim can be read from the run's log.
+``track_mc.wall_s: parent 0.778 change 0.514 (-33.93%), wins 10/10,
+gain_resolved true, worse_beyond_bound false``, so that a claim, and its size,
+can be read from the run's log.
 
 The script exits 1, after writing the file, when any run reported
 ``"correct": false``.
@@ -123,6 +126,7 @@ def summarise(pairs: list[dict], spec: dict[str, dict]) -> dict:
                                  for p, c in zip(values["parent"], values["change"]))
         row["pairs"] = len(pairs)
         parent, change = row["parent"]["median"], row["change"]["median"]
+        row["relative_change"] = (change - parent) / abs(parent) if parent else None
         row["bound"] = entry["bound"]
         row["worse_beyond_bound"] = sign * (parent - change) > entry["bound"] * abs(parent)
         spread = row["parent"]["q3"] - row["parent"]["q1"]
@@ -134,11 +138,16 @@ def summarise(pairs: list[dict], spec: dict[str, dict]) -> dict:
     return summary
 
 
+def _percent(rel: float | None) -> str:
+    return "n/a" if rel is None else f"{rel:+.2%}"
+
+
 def summary_lines(summary: dict) -> list[str]:
-    """One line per metric row of ``summary``: both medians, the change's
-    wins out of the pairs, ``gain_resolved`` and ``worse_beyond_bound``."""
-    return [f"{metric}: parent {row['parent']['median']:.6g} change {row['change']['median']:.6g}, "
-            f"wins {row['change_wins']}/{row['pairs']}, "
+    """One line per metric row of ``summary``: both medians and their
+    relative change, the change's wins out of the pairs, ``gain_resolved``
+    and ``worse_beyond_bound``."""
+    return [f"{metric}: parent {row['parent']['median']:.6g} change {row['change']['median']:.6g} "
+            f"({_percent(row['relative_change'])}), wins {row['change_wins']}/{row['pairs']}, "
             f"gain_resolved {str(row['gain_resolved']).lower()}, "
             f"worse_beyond_bound {str(row['worse_beyond_bound']).lower()}"
             for metric, row in summary.items() if metric != "outputs_identical"]

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .core import _checked_exponent, _checked_int, nonneg_matrix, normalize_columns
+from .core import _checked_exponent, _checked_int, nonneg_matrix
 from .dsp import _check_fft_size, _check_hop, stft
 from .experiments import (
     _TRACK_ANNEAL,
@@ -66,12 +66,11 @@ def save_model(
 def load_model(path: str) -> tuple[DnmfModel, float, dict]:
     """Load a model saved by :func:`save_model`, validating its invariants.
 
-    :class:`DnmfModel` checks shapes, signs, finiteness and the column sums
-    of the basis; drift in those sums between 1e-9 and its 1e-6 tolerance is
-    renormalized away with a warning.  ``format_version``, ``K``, ``I`` and
-    ``J`` must be JSON integers and ``train_q`` a number in (0, 1] (``true``,
-    ``9.0`` and ``"0.5"`` are neither).  Any malformed document raises
-    ``ValueError`` naming the file.
+    :class:`DnmfModel` checks the basis and lags (renormalizing small drift in
+    the column sums with a warning); this function checks the file format:
+    ``format_version``, ``K``, ``I`` and ``J`` must be JSON integers and
+    ``train_q`` a number in (0, 1] (``true``, ``9.0`` and ``"0.5"`` are
+    neither).  Any malformed document raises ``ValueError`` naming the file.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -94,13 +93,6 @@ def load_model(path: str) -> tuple[DnmfModel, float, dict]:
         raise ValueError(f"{path}: {exc}") from None
     if (model.n_features, model.n_components, model.order) != sizes:
         raise ValueError(f"{path}: model sizes do not match the K/I/J fields")
-    err = np.max(np.abs(model.basis.sum(axis=0) - 1.0))
-    if err > 1e-9:
-        warnings.warn(
-            f"{path}: renormalizing basis columns (deviation {err:.3e})",
-            stacklevel=2,
-        )
-        model.basis = normalize_columns(model.basis)
     return model, train_q, metadata
 
 
@@ -184,7 +176,7 @@ def cmd_separate(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     if args.scenario == "tracking":
-        given = {"runs": args.runs, "snr_grid": tuple(args.snr) if args.snr else None}
+        given = {"runs": args.runs, "snr_grid": args.snr}
         scenario = TrackingScenario(**{k: v for k, v in given.items() if v is not None})
         report = run_tracking(scenario, seed=args.seed)
     else:

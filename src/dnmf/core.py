@@ -2,8 +2,9 @@
 
 Everything operates on plain float64 numpy arrays.  The private checks below
 validate every scalar and array once at the public boundary (integers,
-exponents, nonnegative matrices, and the finite same-shape arrays of the signal
-and score functions); the iterative code paths trust their inputs.
+exponents, finite reals, non-empty tuples of them, nonnegative matrices, and
+the finite same-shape arrays of the signal and score functions); the
+iterative code paths trust their inputs.
 """
 from __future__ import annotations
 
@@ -39,6 +40,25 @@ def _checked_exponent(value, name: str = "anneal") -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value <= 1.0:
         raise ValueError(f"{name} {value!r} must lie in (0, 1]")
     return float(value)
+
+
+def _checked_real(value, name: str) -> float:
+    """``float(value)`` for a finite real number (not a ``bool``); else ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} {value!r} must be a finite real number")
+    return float(value)
+
+
+def _checked_tuple(values, name: str, check) -> tuple:
+    """``values`` as a non-empty tuple, each entry passed through
+    ``check(entry, f"{name} entry")``; else ``ValueError``."""
+    try:
+        entries = tuple(values)
+    except TypeError:  # not iterable
+        entries = ()
+    if not entries:
+        raise ValueError(f"{name} {values!r} must be a non-empty sequence")
+    return tuple(check(v, f"{name} entry") for v in entries)
 
 
 def _checked_matrix(a, name: str, rows: int | None = None, cols: int | None = None) -> Array:

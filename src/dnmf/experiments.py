@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Array, _checked_arrays, _checked_int
+from .core import Array, _checked_arrays, _checked_int, _checked_real, _checked_tuple
 from .dsp import _BLOCK, _soft_mask, istft, mix_at_snr, output_snr, stft
 from .statespace import DnmfModel, FilterState, TrainConfig, concat_models, filter_stream, train
 
@@ -46,8 +46,9 @@ class TrackingScenario:
     per sample) and back, peaking at the center of frame ``peak_frame``
     (1-based) out of ``n_frames`` non-overlapping analysis frames.  An
     ``n_frames`` that is not an integer of at least 1, a ``peak_frame`` that
-    is not an integer in ``[1, n_frames]`` or a ``runs`` that is not an
-    integer of at least 1 raises ``ValueError``.
+    is not an integer in ``[1, n_frames]``, a ``runs`` that is not an
+    integer of at least 1 or an ``snr_grid`` that is not a non-empty sequence
+    of finite reals (stored as a tuple of floats) raises ``ValueError``.
     """
 
     fft_size = 128
@@ -65,6 +66,7 @@ class TrackingScenario:
         if self.peak_frame > self.n_frames:
             raise ValueError(f"peak_frame {self.peak_frame} must lie in "
                              f"[1, n_frames={self.n_frames}]")
+        self.snr_grid = _checked_tuple(self.snr_grid, "snr_grid", _checked_real)
         self.runs = _checked_int(self.runs, "runs", 1)
 
 
@@ -78,7 +80,9 @@ class SeparationScenario:
     template-to-template progression -- which is exactly what separating the
     time-reversed copy requires.  Longer signals leave each template active
     for many frames, and the learned dynamics collapse toward self-loops that
-    carry no ordering information.
+    carry no ordering information.  An ``orders`` that is not a non-empty
+    sequence of integers of at least 0 (stored as a tuple) raises
+    ``ValueError``.
     """
 
     sample_rate = 16000
@@ -90,6 +94,9 @@ class SeparationScenario:
     rank: int = 50
     orders: tuple = (0, 1, 2, 3, 4, 5)
     mix_snr_db: float = 0.0
+
+    def __post_init__(self) -> None:
+        self.orders = _checked_tuple(self.orders, "orders", _checked_int)
 
 
 @dataclass

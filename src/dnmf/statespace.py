@@ -28,6 +28,7 @@ wherever the scaled frame has no subnormal or infinite entry.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +62,8 @@ class DnmfModel:
     Attributes
     ----------
     basis : np.ndarray
-        Column-stochastic matrix, shape (n_features, n_components).
+        Column-stochastic to 1e-6, shape (n_features, n_components); columns
+        whose sums drift beyond 1e-9 are renormalized with a ``UserWarning``.
     lags : list of np.ndarray
         One square nonnegative matrix per autoregressive lag, each of shape
         (n_components, n_components).  Deliberately unnormalized: row scale
@@ -76,6 +78,9 @@ class DnmfModel:
         worst = float(np.max(np.abs(self.basis.sum(axis=0) - 1.0)))
         if worst > _STOCHASTIC_TOL:
             raise ValueError(f"basis is not column-stochastic (max column-sum error {worst:.3e})")
+        if worst > 1e-9:
+            warnings.warn(f"renormalizing basis columns (deviation {worst:.3e})", stacklevel=3)
+            self.basis = normalize_columns(self.basis)
         i = self.n_components
         self.lags = [_checked_matrix(a, f"lag matrix {j + 1}", i, i)
                      for j, a in enumerate(self.lags)]

@@ -1,6 +1,7 @@
 """``scripts/bench_pairs.py``: output identity per pair, the bound check, the
-resolved-gain check, the per-call minima, the commits and source line counts
-compared, the summary lines printed at exit and the exit code."""
+resolved-gain check, the relative change of the medians, the per-call minima,
+the commits and source line counts compared, the summary lines printed at
+exit and the exit code."""
 import importlib.util
 import json
 import subprocess
@@ -191,9 +192,10 @@ def test_main_prints_one_summary_line_per_metric(bench_pairs, monkeypatch, tmp_p
     assert code == 0
     err = capsys.readouterr().err.splitlines()
     assert err[-2:] == [
-        "wall_s: parent 1 change 0.5, wins 4/4, gain_resolved true, worse_beyond_bound false",
-        "track_mc.wall_s_call_min: parent 0.9 change 0.5, wins 4/4, gain_resolved true, "
+        "wall_s: parent 1 change 0.5 (-50.00%), wins 4/4, gain_resolved true, "
         "worse_beyond_bound false",
+        "track_mc.wall_s_call_min: parent 0.9 change 0.5 (-44.44%), wins 4/4, "
+        "gain_resolved true, worse_beyond_bound false",
     ]
 
 
@@ -202,5 +204,19 @@ def test_summary_lines_report_a_loss_beyond_the_bound(bench_pairs):
     summary = bench_pairs.summarise(
         _pairs("separate_wav.wall_s", [0.9, 1.0, 1.1], [0.8, 1.3, 1.4]), spec)
     assert bench_pairs.summary_lines(summary) == [
-        "separate_wav.wall_s: parent 1 change 1.3, wins 1/3, gain_resolved false, "
+        "separate_wav.wall_s: parent 1 change 1.3 (+30.00%), wins 1/3, gain_resolved false, "
         "worse_beyond_bound true"]
+
+
+@pytest.mark.parametrize("parent, change, relative, text", [
+    ([100.5, 100.527, 100.6], [100.3, 100.396, 100.4], -0.131 / 100.527, "-0.13%"),
+    ([0.0, 0.0, 0.0], [0.0, 1.0, 1.0], None, "n/a"),  # no fraction of a zero median
+])
+def test_summary_reports_the_relative_change_of_the_medians(bench_pairs, parent, change,
+                                                            relative, text):
+    # A sub-percent move can resolve as a gain; the percentage shows its size.
+    spec = {"peak_rss_mb": {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}}
+    summary = bench_pairs.summarise(_pairs("train_wav.peak_rss_mb", parent, change), spec)
+    row = summary["train_wav.peak_rss_mb"]
+    assert row["relative_change"] == pytest.approx(relative)
+    assert f" ({text}), wins " in bench_pairs.summary_lines(summary)[0]

@@ -195,6 +195,28 @@ def test_run_tracking_deterministic():
     assert [row.value for row in r1.rows] == [row.value for row in r2.rows]
 
 
+@pytest.mark.parametrize("make, field", [
+    pytest.param(lambda: TrackingScenario(n_frames=8, peak_frame=4, runs=1, snr_grid=5.0),
+                 "snr_grid", id="snr_grid-scalar"),
+    pytest.param(lambda: TrackingScenario(n_frames=8, peak_frame=4, runs=1, snr_grid=()),
+                 "snr_grid", id="snr_grid-empty"),
+    pytest.param(lambda: SeparationScenario(duration=0.2, rank=3, orders=2),
+                 "orders", id="orders-scalar"),
+    pytest.param(lambda: SeparationScenario(duration=0.2, rank=3, orders=()),
+                 "orders", id="orders-empty"),
+])
+def test_scenario_rejects_a_sequence_field_that_is_empty_or_not_a_sequence(make, field):
+    # Before, the scalar failed later in the run with a TypeError and the
+    # empty grid ran nothing and returned an empty report.
+    with pytest.raises(ValueError, match=f"^{field} .* must be a non-empty sequence$"):
+        make()
+
+
+def test_scenario_stores_its_sequence_fields_as_tuples():
+    assert TrackingScenario(snr_grid=[0, np.float64(5.5)]).snr_grid == (0.0, 5.5)
+    assert SeparationScenario(orders=np.arange(3)).orders == (0, 1, 2)
+
+
 def test_run_separation_report_layout():
     sc = SeparationScenario(duration=0.4, rank=5, orders=(0, 1))
     report = run_separation(sc, seed=0)

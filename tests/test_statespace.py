@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from dnmf import statespace
 from dnmf.core import EPS, is_divergence, normalize_columns
 from dnmf.dsp import _check_hop, istft, mix_at_snr, output_snr, stft, wiener_reconstruct
-from dnmf.experiments import TrackingScenario, run_tracking, tracking_mse
+from dnmf.experiments import SeparationScenario, TrackingScenario, run_tracking, tracking_mse
 from dnmf.statespace import (
     _INIT_FLOOR,
     _predict_all,
@@ -546,6 +546,29 @@ def test_model_validates_lag_shapes():
         DnmfModel(basis=np.eye(2), lags=[-np.ones((2, 2))])
     with pytest.raises(ValueError):
         DnmfModel(basis=np.array([[0.5, 0.9], [0.4, 0.1]]), lags=[])
+    with pytest.raises(ValueError, match=re.escape("column-sum error 2.000e-06")):
+        DnmfModel(basis=_drifted_basis(2e-6))
+
+
+def _drifted_basis(drift):
+    """A 2x2 column-stochastic basis whose second column sums to ``1 + drift``."""
+    basis = np.array([[0.5, 0.25], [0.5, 0.75]])
+    basis[0, 1] += drift
+    return basis
+
+
+def test_model_renormalizes_column_sum_drift_above_1e_9_with_a_warning():
+    with pytest.warns(UserWarning, match=re.escape("deviation 5.000e-08")) as record:
+        model = DnmfModel(basis=_drifted_basis(5e-8))
+    assert record[0].filename == __file__  # the line that built the model
+    np.testing.assert_allclose(model.basis.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("drift", [0.0, 5e-10])
+def test_model_keeps_a_basis_within_1e_9_bit_for_bit(drift):
+    # Warnings are errors under this suite, so a warning would fail here too.
+    basis = _drifted_basis(drift)
+    assert np.array_equal(DnmfModel(basis=basis).basis, basis)
 
 
 def test_model_properties():
@@ -1377,8 +1400,11 @@ _SCALARS = [2.5, 1.5, 2.0, True, False, -1, 0, 1, 2, np.int64(2), np.int64(0), n
 
 
 def _scalar_accepted(value, minimum) -> bool:
-    """Reference rule: an integer of at least ``minimum``, or for ``minimum``
-    None an exponent in (0, 1]; ``bool`` and ``str`` are neither."""
+    """Reference rule: an integer of at least ``minimum``, for ``minimum``
+    None an exponent in (0, 1], or for ``"real"`` a finite real number;
+    ``bool`` and ``str`` are none of them."""
+    if minimum == "real":
+        return type(value) in (int, float, np.int64, np.float64) and bool(np.isfinite(value))
     if minimum is None:
         return type(value) in (int, float, np.int64, np.float64) and 0 < value <= 1
     return type(value) in (int, np.int64) and value >= minimum
@@ -1409,6 +1435,10 @@ def _scalar_calls():
                                       "n_frames", 1),
         "TrackingScenario peak_frame": (lambda v: TrackingScenario(peak_frame=v),
                                         "peak_frame", 1),
+        "TrackingScenario snr_grid": (lambda v: TrackingScenario(snr_grid=(0.0, v)),
+                                      "snr_grid entry", "real"),
+        "SeparationScenario orders": (lambda v: SeparationScenario(orders=(0, v)),
+                                      "orders entry", 0),
         "stft hop": (lambda v: stft(signal, 16, v), "hop", 1),
         "istft hop": (lambda v: istft(frames, v), "hop", 1),
         "_check_hop": (lambda v: _check_hop(16, v), "hop", 1),
@@ -1430,12 +1460,17 @@ def _scalar_calls():
 @example(entry="TrackingScenario n_frames", value=0)
 @example(entry="TrackingScenario peak_frame", value=0)
 @example(entry="TrackingScenario peak_frame", value=1.5)
+@example(entry="TrackingScenario snr_grid", value=np.nan)
+@example(entry="TrackingScenario snr_grid", value="0.5")
+@example(entry="SeparationScenario orders", value=-1)
+@example(entry="SeparationScenario orders", value=2.0)
 def test_public_boundary_rejects_bad_scalars_with_value_error(entry, value):
-    """A size, count, seed or hop that is not an integer of its minimum (a
-    ``bool``, a float such as ``2.0``, NaN or a string included), or an
-    exponent outside (0, 1], raises ``ValueError`` naming the value and
-    leaves a filter state's history as it was; NumPy integers and floats in
-    range are accepted like Python ones."""
+    """A size, count, seed, hop or order that is not an integer of its
+    minimum (a ``bool``, a float such as ``2.0``, NaN or a string included),
+    an exponent outside (0, 1] or an SNR that is not a finite real number
+    raises ``ValueError`` naming the value and leaves a filter state's
+    history as it was; NumPy integers and floats in range are accepted like
+    Python ones."""
     model, calls = _scalar_calls()
     state = FilterState(model)
     filter_stream(state, np.ones((4, 3)))
